@@ -19,7 +19,7 @@ use std::time::Instant;
 use vom_core::engine::{Engine, IndexBackend, PreparedIndex, SeedSelector, SessionScratch};
 use vom_core::greedy::Competitors;
 use vom_core::registry::MethodId;
-use vom_core::{Problem, ProblemSpec, Result};
+use vom_core::{CostMeter, Problem, ProblemSpec, Result};
 use vom_graph::Node;
 
 /// One of the six compared baselines (§VIII-A), ready to prepare.
@@ -124,6 +124,7 @@ impl IndexBackend for RankedListIndex {
         problem: &Problem<'_>,
         _comp: Option<Competitors<'_>>,
         _scratch: &mut SessionScratch,
+        _meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
         Ok(self.order.iter().take(problem.k).copied().collect())
     }
@@ -182,6 +183,7 @@ impl SeedSelector for AnyEngine {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use vom_core::engine::SelectionMode;
     use vom_diffusion::{Instance, OpinionMatrix};
     use vom_graph::builder::graph_from_edges;
     use vom_voting::ScoringFunction;
@@ -203,7 +205,8 @@ mod tests {
         for id in MethodId::all() {
             let engine = AnyEngine::with_defaults(id);
             assert_eq!(engine.id(), id);
-            let mut prepared = engine.prepare(&p).unwrap();
+            let index = Arc::new(engine.prepare_index(&p).unwrap());
+            let mut prepared = PreparedIndex::session(&index);
             let res = prepared.select_k(2).unwrap();
             assert_eq!(res.seeds.len(), 2, "{}", id.name());
             assert!(
@@ -223,11 +226,12 @@ mod tests {
         let p3 = Problem::new(&inst, 0, 3, 1, ScoringFunction::Cumulative).unwrap();
         for id in [MethodId::Gedt, MethodId::Pr, MethodId::Rwr, MethodId::Dc] {
             let engine = AnyEngine::with_defaults(id);
-            let mut prepared = engine.prepare(&p3).unwrap();
+            let index = Arc::new(engine.prepare_index(&p3).unwrap());
+            let mut prepared = PreparedIndex::session(&index);
             for k in 1..=3usize {
                 let via_prefix = prepared.select_k(k).unwrap().seeds;
                 let pk = Problem::new(&inst, 0, k, 1, ScoringFunction::Cumulative).unwrap();
-                let fresh = engine.prepare(&pk).unwrap().select_k(k).unwrap().seeds;
+                let fresh = engine.select_once(&pk, SelectionMode::Auto).unwrap().seeds;
                 assert_eq!(via_prefix, fresh, "{} k={k}", id.name());
             }
         }
@@ -237,7 +241,12 @@ mod tests {
     fn baselines_skip_sandwich_and_competitor_matrices() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
-        let mut prepared = AnyEngine::with_defaults(MethodId::Dc).prepare(&p).unwrap();
+        let index = Arc::new(
+            AnyEngine::with_defaults(MethodId::Dc)
+                .prepare_index(&p)
+                .unwrap(),
+        );
+        let mut prepared = PreparedIndex::session(&index);
         let res = prepared.select_k(1).unwrap();
         assert!(res.sandwich.is_none(), "baselines are evaluated as-is");
         assert_eq!(res.estimator_heap_bytes, 0);

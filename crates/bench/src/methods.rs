@@ -11,7 +11,9 @@ use crate::error::Result;
 use std::sync::Arc;
 use std::time::Duration;
 use vom_baselines::{AnyEngine, BaselineEngine, ImmConfig};
-use vom_core::engine::{Engine, PreparedIndex, QuerySession, SeedSelector};
+use vom_core::engine::{
+    Engine, PreparedIndex, QuerySession, SeedSelector, SelectionMode, SelectionResult,
+};
 use vom_core::rs::RsConfig;
 use vom_core::rw::RwConfig;
 use vom_core::Problem;
@@ -71,6 +73,17 @@ pub struct MethodOutcome {
     pub memory: usize,
 }
 
+impl From<SelectionResult> for MethodOutcome {
+    fn from(res: SelectionResult) -> MethodOutcome {
+        MethodOutcome {
+            seeds: res.seeds,
+            score: res.exact_score,
+            elapsed: res.elapsed,
+            memory: res.estimator_heap_bytes,
+        }
+    }
+}
+
 /// A method prepared once for a `(dataset, target, horizon, budget)` —
 /// the unit the sweep experiments iterate: build the immutable
 /// [`PreparedIndex`] here, then [`PreparedMethod::evaluate`] per `k`
@@ -122,13 +135,7 @@ impl PreparedMethod {
     /// methods; once the seeds are selected, all of them are evaluated in
     /// the same multi-campaign setting" (§VIII-A).
     pub fn evaluate(&mut self, k: usize) -> Result<MethodOutcome> {
-        let res = self.session.select_k(k)?;
-        Ok(MethodOutcome {
-            seeds: res.seeds,
-            score: res.exact_score,
-            elapsed: res.elapsed,
-            memory: res.estimator_heap_bytes,
-        })
+        Ok(self.session.select_k(k)?.into())
     }
 
     /// The shared prepared index (for opening sessions on other threads
@@ -144,18 +151,17 @@ impl PreparedMethod {
     }
 }
 
-/// One-shot evaluation: prepare, run a single query, and fold the build
-/// time into [`MethodOutcome::elapsed`] (the historical per-cell cost).
+/// One-shot evaluation through [`SeedSelector::select_once`]: prepare,
+/// run a single auto-mode query, and fold the build time into
+/// [`MethodOutcome::elapsed`] (the historical per-cell cost).
 pub fn evaluate_baseline(
     problem: &Problem<'_>,
     method: AnyMethod,
     seed: u64,
 ) -> Result<MethodOutcome> {
-    let mut prepared = PreparedMethod::new(problem, method, seed)?;
-    let build = prepared.build_time();
-    let mut out = prepared.evaluate(problem.k)?;
-    out.elapsed += build;
-    Ok(out)
+    Ok(harness_engine(method, seed)
+        .select_once(problem, SelectionMode::Auto)?
+        .into())
 }
 
 #[cfg(test)]

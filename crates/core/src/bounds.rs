@@ -2,7 +2,7 @@
 //! and 5) and the submodular upper-bound coverage greedy (Definitions 4
 //! and 6).
 
-use crate::celf::celf_greedy;
+use crate::celf::lazy_greedy;
 use crate::problem::Problem;
 use vom_diffusion::OpinionMatrix;
 use vom_graph::bfs::{bounded_out_bfs, HopCoverage};
@@ -59,14 +59,17 @@ pub fn upper_bound_parts(problem: &Problem<'_>, seedless: &OpinionMatrix) -> (f6
 
 /// Greedily maximizes the coverage upper bound `|N_S^{(t)} ∪ base|` with
 /// CELF (the bound is submodular by Theorems 6–7), returning `S_U` of
-/// size `k`.
+/// size at most `k`: the coverage greedy keeps CELF's stop-on-zero, so
+/// it stops once no node covers anything new.
 pub fn greedy_upper_bound(problem: &Problem<'_>, base: &[Node]) -> Vec<Node> {
     let g = problem.instance.graph_of(problem.target);
     let n = problem.num_nodes();
     let cov = std::cell::RefCell::new(HopCoverage::new(n, problem.horizon, base));
-    celf_greedy(
-        n,
+    lazy_greedy(
+        0..n as Node,
         problem.k,
+        true,
+        None,
         |v| cov.borrow_mut().marginal(g, v) as f64,
         |v| {
             cov.borrow_mut().commit(g, v);

@@ -40,8 +40,14 @@ impl Ord for Entry {
 }
 
 /// Greedy maximization of a **submodular, non-decreasing** set function
-/// with lazy (CELF) re-evaluation.
+/// with lazy (CELF) re-evaluation — the one heap loop behind every
+/// submodular selection path (DM's exact cumulative CELF, the
+/// estimate-driven cumulative fills in `crate::greedy`, and the sandwich
+/// upper-bound coverage greedy): one heap, one staleness protocol, one
+/// tie-breaking rule, so any change to the lazy evaluation semantics
+/// lands everywhere at once.
 ///
+/// `candidates` seeds the heap (callers exclude existing seeds here).
 /// `marginal(v)` must return the marginal gain of adding `v` to the
 /// currently committed set; `commit(v)` is called when `v` is selected.
 /// Correctness relies on submodularity: a gain computed against an older
@@ -49,44 +55,19 @@ impl Ord for Entry {
 /// once refreshed, still dominates the runner-up, it is optimal to take
 /// without touching the rest of the heap.
 ///
-/// Returns the selected nodes in order. Stops early if every remaining
-/// gain is zero (adding more seeds cannot help a non-decreasing score).
-pub fn celf_greedy<FM, FC>(n: usize, k: usize, marginal: FM, commit: FC) -> Vec<Node>
-where
-    FM: FnMut(Node) -> f64,
-    FC: FnMut(Node),
-{
-    lazy_greedy(0..n as Node, k, true, None, marginal, commit)
-}
-
-/// [`celf_greedy`] with an optional [`CostMeter`]: one tick per marginal
-/// evaluation, exhaustion checked at the (sequential) pop boundary. A
-/// run stopped by the meter returns a bit-identical **prefix** of the
-/// unmetered selection — the heap evolves through the same deterministic
-/// state sequence and the meter only decides how far along it we stop.
-pub fn celf_greedy_metered<FM, FC>(
-    n: usize,
-    k: usize,
-    meter: Option<&CostMeter>,
-    marginal: FM,
-    commit: FC,
-) -> Vec<Node>
-where
-    FM: FnMut(Node) -> f64,
-    FC: FnMut(Node),
-{
-    lazy_greedy(0..n as Node, k, true, meter, marginal, commit)
-}
-
-/// The shared lazy-greedy loop behind [`celf_greedy`] and the
-/// estimate-driven cumulative fills in `crate::greedy`: one heap, one
-/// staleness protocol, one tie-breaking rule — any change to the lazy
-/// evaluation semantics lands in every submodular selection path at
-/// once. `stop_on_zero` selects between CELF's early stop and the
-/// paper's fill-to-`k` semantics (zero-gain seeds committed by smallest
-/// id); `candidates` seeds the heap (callers exclude existing seeds
-/// either here or by returning `NEG_INFINITY` from `marginal`).
-pub(crate) fn lazy_greedy<FM, FC>(
+/// `stop_on_zero` selects between CELF's early stop (only the sandwich
+/// upper-bound coverage greedy uses it: once every remaining gain is
+/// zero, more seeds cannot help a non-decreasing score) and the paper's
+/// fill-to-`k` semantics of Problem 1 (zero-gain seeds committed by
+/// smallest id). Returns the selected nodes in order.
+///
+/// `meter`, when present, is charged one tick per marginal evaluation,
+/// and exhaustion is checked at the (sequential) pop boundary. A run
+/// stopped by the meter returns a bit-identical **prefix** of the
+/// unmetered selection — the heap evolves through the same
+/// deterministic state sequence and the meter only decides how far
+/// along it we stop.
+pub fn lazy_greedy<FM, FC>(
     candidates: impl Iterator<Item = Node>,
     k: usize,
     stop_on_zero: bool,
@@ -181,9 +162,11 @@ mod tests {
     fn celf_matches_plain_greedy_on_coverage() {
         let sets = coverage_instance();
         let covered = RefCell::new(HashSet::<usize>::new());
-        let selected = celf_greedy(
-            sets.len(),
+        let selected = lazy_greedy(
+            0..sets.len() as Node,
             2,
+            true,
+            None,
             |v| {
                 let c = covered.borrow();
                 sets[v as usize].iter().filter(|i| !c.contains(i)).count() as f64
@@ -206,9 +189,11 @@ mod tests {
         // refresh per round.
         let weights = [5.0, 4.0, 3.0, 2.0, 1.0];
         let evals = RefCell::new(0usize);
-        let selected = celf_greedy(
-            5,
+        let selected = lazy_greedy(
+            0..5,
             3,
+            true,
+            None,
             |v| {
                 *evals.borrow_mut() += 1;
                 weights[v as usize]
@@ -222,13 +207,20 @@ mod tests {
 
     #[test]
     fn stops_when_gains_vanish() {
-        let selected = celf_greedy(4, 4, |v| if v == 0 { 1.0 } else { 0.0 }, |_| {});
+        let selected = lazy_greedy(
+            0..4,
+            4,
+            true,
+            None,
+            |v| if v == 0 { 1.0 } else { 0.0 },
+            |_| {},
+        );
         assert_eq!(selected, vec![0], "zero-gain nodes are not selected");
     }
 
     #[test]
     fn ties_break_toward_smaller_ids() {
-        let selected = celf_greedy(4, 2, |_| 1.0, |_| {});
+        let selected = lazy_greedy(0..4, 2, true, None, |_| 1.0, |_| {});
         assert_eq!(selected, vec![0, 1]);
     }
 
@@ -236,11 +228,11 @@ mod tests {
     fn metered_runs_return_prefixes_of_the_full_selection() {
         use vom_diffusion::CostBudget;
         let weights = [5.0, 4.0, 3.0, 2.0, 1.0];
-        let full = celf_greedy(5, 4, |v| weights[v as usize], |_| {});
+        let full = lazy_greedy(0..5, 4, true, None, |v| weights[v as usize], |_| {});
         assert_eq!(full, vec![0, 1, 2, 3]);
         for budget in 0..20u64 {
             let m = CostMeter::new(CostBudget::ticks(budget));
-            let got = celf_greedy_metered(5, 4, Some(&m), |v| weights[v as usize], |_| {});
+            let got = lazy_greedy(0..5, 4, true, Some(&m), |v| weights[v as usize], |_| {});
             assert!(
                 full.starts_with(&got),
                 "budget {budget}: {got:?} is not a prefix of {full:?}"
@@ -248,7 +240,7 @@ mod tests {
         }
         // An unlimited meter reproduces the unmetered selection exactly.
         let m = CostMeter::new(CostBudget::ticks(u64::MAX));
-        let got = celf_greedy_metered(5, 4, Some(&m), |v| weights[v as usize], |_| {});
+        let got = lazy_greedy(0..5, 4, true, Some(&m), |v| weights[v as usize], |_| {});
         assert_eq!(got, full);
         assert!(m.spent() > 0);
     }
@@ -258,9 +250,23 @@ mod tests {
         // A degenerate objective: node 2's "gain" is NaN. total_cmp
         // sorts positive NaN above everything, so it is selected first —
         // deterministically — and the run completes.
-        let selected = celf_greedy(4, 2, |v| if v == 2 { f64::NAN } else { 1.0 }, |_| {});
+        let selected = lazy_greedy(
+            0..4,
+            2,
+            true,
+            None,
+            |v| if v == 2 { f64::NAN } else { 1.0 },
+            |_| {},
+        );
         assert_eq!(selected, vec![2, 0]);
-        let again = celf_greedy(4, 2, |v| if v == 2 { f64::NAN } else { 1.0 }, |_| {});
+        let again = lazy_greedy(
+            0..4,
+            2,
+            true,
+            None,
+            |v| if v == 2 { f64::NAN } else { 1.0 },
+            |_| {},
+        );
         assert_eq!(selected, again, "NaN ordering is stable");
     }
 }

@@ -24,12 +24,10 @@
 //! exactly once each, even when the first users are concurrent sessions
 //! (the caches are `OnceLock`/lock-guarded).
 //!
-//! [`Prepared`] is the source-compatible single-caller wrapper (an index
-//! plus one private session) behind the historical `prepare`/`select`
-//! pair, and the one-shot conveniences
-//! [`crate::select_seeds`]/[`crate::select_seeds_plain`] are thin
-//! wrappers over the full lifecycle. The `vom-service` crate serves
-//! whole query batches over registered graphs on top of this API.
+//! This is the only selection path: [`SeedSelector::select_once`] is a
+//! one-line convenience over it (prepare for exactly one problem, answer
+//! one query), and the `vom-service` crate serves whole query batches
+//! over registered graphs on top of it.
 //!
 //! External crates plug their own methods in by implementing
 //! [`SeedSelector`] + [`IndexBackend`] (the §VIII baselines in
@@ -77,16 +75,15 @@
 //! ```
 
 use crate::bounds::{favorable_users, greedy_upper_bound, upper_bound_parts};
-use crate::dm::{dm_greedy_masked_cumulative_with, dm_greedy_prepared_metered};
+use crate::dm::{dm_cumulative_celf, dm_greedy};
 use crate::greedy::Competitors;
 use crate::phases::{self, CostBudget, CostMeter, Phase};
 use crate::problem::{Problem, ProblemSpec};
 use crate::registry::MethodId;
 use crate::rs::{sketch_theta, RsConfig};
 use crate::rw::{competitive_arena, competitive_gammas, uniform_arena, RwConfig};
-use crate::sandwich::{sandwich_select_with_su, SandwichInfo};
+use crate::sandwich::{sandwich_select, SandwichInfo};
 use crate::{CoreError, Result};
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -97,8 +94,7 @@ use vom_voting::{RankIndex, ScoringFunction};
 use vom_walks::{OpinionEstimator, WalkArena};
 
 /// The three proposed selection engines behind the prepared lifecycle
-/// (§VIII compares them as DM, RW, RS). This is the type the one-shot
-/// [`crate::Method`] alias points at.
+/// (§VIII compares them as DM, RW, RS).
 #[derive(Debug, Clone)]
 pub enum Engine {
     /// Exact direct matrix–vector greedy.
@@ -237,8 +233,9 @@ pub struct SelectionResult {
     /// Exact objective value `F(B^{(t)}[S], c_q)` of the returned set.
     pub exact_score: f64,
     /// Wall-clock selection time (excludes the final exact evaluation;
-    /// the one-shot wrappers fold artifact build time in, a session
-    /// [`QuerySession::select`] does not — see [`BuildStats::build_time`]).
+    /// [`SeedSelector::select_once`] folds artifact build time in, a
+    /// session [`QuerySession::select`] does not — see
+    /// [`BuildStats::build_time`]).
     pub elapsed: Duration,
     /// Heap bytes held by the estimator (walk arena / sketch set); 0 for
     /// DM. The Figure 17(b) series.
@@ -298,20 +295,14 @@ pub trait SeedSelector {
 
     /// Builds the method's immutable index for `spec`'s instance, target,
     /// horizon, and budget (`spec.k`); `spec.score` hints which rule
-    /// class to build eagerly. This is the implementor hook; most callers
-    /// use [`SeedSelector::prepare_index`] or [`SeedSelector::prepare`].
+    /// class to build eagerly. This is the implementor hook; callers use
+    /// [`SeedSelector::prepare_index`].
     fn prepare_spec(&self, spec: ProblemSpec) -> Result<PreparedIndex>;
 
     /// Builds the immutable index from a borrowed problem (clones the
     /// instance into the index's `Arc`; graphs stay shared).
     fn prepare_index(&self, problem: &Problem<'_>) -> Result<PreparedIndex> {
         self.prepare_spec(ProblemSpec::from_problem(problem))
-    }
-
-    /// Source-compatible single-caller lifecycle: the index plus one
-    /// private session, behind the historical [`Prepared`] API.
-    fn prepare<'a>(&self, problem: &Problem<'a>) -> Result<Prepared<'a>> {
-        Ok(Prepared::from_index(self.prepare_index(problem)?))
     }
 
     /// Opens a query session on a shared index (sugar for
@@ -321,31 +312,20 @@ pub trait SeedSelector {
     }
 
     /// One-shot convenience: prepare for exactly this problem, run one
-    /// auto-mode query, and fold the build time into
-    /// [`SelectionResult::elapsed`].
-    fn select_once(&self, problem: &Problem<'_>) -> Result<SelectionResult> {
-        select_once_with(self, problem, SelectionMode::Auto)
+    /// query for `problem.k` seeds under `problem.score` in `mode`, and
+    /// fold the build time into [`SelectionResult::elapsed`].
+    fn select_once(&self, problem: &Problem<'_>, mode: SelectionMode) -> Result<SelectionResult> {
+        let index = self.prepare_index(problem)?;
+        let query = Query {
+            k: problem.k,
+            rule: problem.score.clone(),
+            target: problem.target,
+            mode,
+        };
+        let mut res = index.select_with(&query, &mut SessionScratch::default())?;
+        res.elapsed += index.build_stats().build_time;
+        Ok(res)
     }
-}
-
-/// Shared body of the one-shot wrappers (`select_seeds`,
-/// `select_seeds_plain`, [`SeedSelector::select_once`]).
-pub fn select_once_with<S: SeedSelector + ?Sized>(
-    selector: &S,
-    problem: &Problem<'_>,
-    mode: SelectionMode,
-) -> Result<SelectionResult> {
-    let index = selector.prepare_index(problem)?;
-    let query = Query {
-        k: problem.k,
-        rule: problem.score.clone(),
-        target: problem.target,
-        mode,
-    };
-    let mut scratch = SessionScratch::default();
-    let mut res = index.select_with(&query, &mut scratch)?;
-    res.elapsed += index.build_stats().build_time;
-    Ok(res)
 }
 
 /// The per-engine greedy primitives a [`PreparedIndex`] drives.
@@ -353,7 +333,8 @@ pub fn select_once_with<S: SeedSelector + ?Sized>(
 /// added artifact must live behind interior mutability
 /// (`OnceLock`/`Mutex`) so concurrent sessions build it exactly once.
 /// All per-query mutable state goes through the caller's
-/// [`SessionScratch`]. The generic sandwich orchestration (mask
+/// [`SessionScratch`]; a budgeted query's [`CostMeter`] arrives as an
+/// explicit argument. The generic sandwich orchestration (mask
 /// construction, feasible-solution arbitration, Algorithm 3) lives in
 /// the index and is shared by every engine.
 pub trait IndexBackend: Send + Sync {
@@ -371,25 +352,34 @@ pub trait IndexBackend: Send + Sync {
     /// score is competitive and
     /// [`IndexBackend::needs_exact_competitors`] is true — both are
     /// shared prepared artifacts, computed once per index.
+    ///
+    /// `meter` is `Some` only for budgeted queries
+    /// ([`PreparedIndex::select_budgeted`]): the greedy charges it and
+    /// stops at a sequential checkpoint once it is exhausted, returning a
+    /// prefix of the unmetered selection. It bounds how *far* the greedy
+    /// runs, never *which* seeds a given prefix contains.
     fn greedy(
         &self,
         problem: &Problem<'_>,
         comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
+        meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>>;
 
-    /// Greedy maximization of the masked cumulative estimate — the
-    /// engine half of the sandwich bounds (Definition 3). Only called
-    /// when [`IndexBackend::supports_sandwich`] is true.
+    /// Greedy maximization of the cumulative estimate restricted to the
+    /// users in `mask` (`None`: every user) — the engine half of the
+    /// sandwich bounds (Definition 3) and of its cumulative feasible
+    /// solution. Only called when [`IndexBackend::supports_sandwich`] is
+    /// true.
     fn greedy_masked_cumulative(
         &self,
         problem: &Problem<'_>,
-        mask: &[bool],
+        mask: Option<&[bool]>,
         comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
     ) -> Result<Vec<Node>> {
         let _ = mask;
-        self.greedy(problem, comp, scratch)
+        self.greedy(problem, comp, scratch, None)
     }
 
     /// Whether auto-mode queries on rank-based scores should run the
@@ -416,23 +406,14 @@ pub trait IndexBackend: Send + Sync {
 }
 
 /// Reusable per-session buffers the query paths fill on every select:
-/// sandwich masks and the RS working sketch. Contents are pure scratch —
-/// they never influence results, only allocation traffic — so a fresh
-/// default scratch and a warm one answer queries identically. The one
-/// exception is the [`CostMeter`] slot, installed by
-/// [`PreparedIndex::select_budgeted`] for exactly the duration of one
-/// budgeted query (and always cleared afterwards): it bounds how *far*
-/// the greedy runs, never *which* seeds a given prefix contains.
+/// the sandwich lower-bound mask, the RS working sketch, and DM's solver
+/// pool. Contents are pure scratch — they never influence results, only
+/// allocation traffic — so a fresh default scratch and a warm one answer
+/// queries identically.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
     /// Favorable-user mask for the sandwich lower bound.
     mask_lower: Vec<bool>,
-    /// All-users mask for the cumulative feasible solution.
-    mask_all: Vec<bool>,
-    /// Cost meter for the in-flight budgeted query; `None` on every
-    /// unmetered path (the carrier keeps [`IndexBackend::greedy`]
-    /// signatures unchanged for external backend implementors).
-    meter: Option<Arc<CostMeter>>,
     /// RS working sketch from the previous query, keyed by its θ.
     rs_sketch: Option<(usize, SketchSet)>,
     /// Pooled exact-diffusion solvers (iteration buffers + warm-start
@@ -749,10 +730,30 @@ impl PreparedIndex {
         }))
     }
 
+    /// The exact competitor artifacts a query on `problem` needs: the
+    /// competitor-opinion matrix and its rank index when the score is
+    /// competitive and the backend ranks against them, else `None`. Both
+    /// are shared index artifacts, computed at most once per index
+    /// (whichever session gets there first) and never metered: they are
+    /// amortized over every future query, and metering them would make
+    /// the first budgeted query's degradation point depend on cache
+    /// state.
+    fn competitors(&self, problem: &Problem<'_>) -> Option<Competitors<'_>> {
+        if !(problem.is_competitive() && self.backend.needs_exact_competitors()) {
+            return None;
+        }
+        let matrix = self.others.get_or_init(|| problem.non_target_opinions());
+        let ranks = self.ranks.get_or_init(|| {
+            phases::timed(Phase::Scoring, || RankIndex::build(matrix, problem.target))
+        });
+        Some(Competitors { matrix, ranks })
+    }
+
     /// Answers one query against the shared artifacts using the caller's
     /// scratch: plain greedy, or the sandwich approximation (Algorithm 3)
-    /// where auto mode prescribes it. Bit-identical to the one-shot path
-    /// for the same budget and seeds (the equivalence suite in
+    /// where auto mode prescribes it. Bit-identical for the same budget
+    /// and seeds whether the index was prepared for exactly this query
+    /// or for a larger budget (the equivalence suite in
     /// `tests/prepared_equivalence.rs` asserts this), and independent of
     /// which or how many sessions share the index.
     fn select_with(&self, query: &Query, scratch: &mut SessionScratch) -> Result<SelectionResult> {
@@ -760,20 +761,8 @@ impl PreparedIndex {
         let problem = self.spec.query_problem(query.k, query.rule.clone());
 
         // Fill the exact-matrix caches the query needs before the timed
-        // section (computed at most once per index, whichever session
-        // gets there first). The rank index over the competitor matrix
-        // is an artifact like the matrices: built once, shared by every
-        // session.
-        let competitive = problem.is_competitive() && self.backend.needs_exact_competitors();
-        let comp = if competitive {
-            let matrix = self.others.get_or_init(|| problem.non_target_opinions());
-            let ranks = self.ranks.get_or_init(|| {
-                phases::timed(Phase::Scoring, || RankIndex::build(matrix, problem.target))
-            });
-            Some(Competitors { matrix, ranks })
-        } else {
-            None
-        };
+        // section.
+        let comp = self.competitors(&problem);
         let sandwich = matches!(query.mode, SelectionMode::Auto)
             && problem.is_competitive()
             && self.backend.supports_sandwich();
@@ -786,36 +775,31 @@ impl PreparedIndex {
         // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
         let start = Instant::now();
         let (seeds, info) = if !sandwich {
-            (self.backend.greedy(&problem, comp, scratch)?, None)
+            (self.backend.greedy(&problem, comp, scratch, None)?, None)
         } else {
             let seedless = seedless.expect("cached above");
-            let n = problem.num_nodes();
             let mask = problem.score.approval_depth().map(|p| {
                 let favorable = favorable_users(seedless, problem.target, p);
                 let mut mask = std::mem::take(&mut scratch.mask_lower);
                 mask.clear();
-                mask.resize(n, false);
+                mask.resize(problem.num_nodes(), false);
                 for v in favorable {
                     mask[v as usize] = true;
                 }
                 mask
             });
-            let mut all_mask = std::mem::take(&mut scratch.mask_all);
-            all_mask.clear();
-            all_mask.resize(n, true);
-            let s_rank = self.backend.greedy(&problem, comp, scratch)?;
+            let s_rank = self.backend.greedy(&problem, comp, scratch, None)?;
             let s_cum = self
                 .backend
-                .greedy_masked_cumulative(&problem, &all_mask, comp, scratch)?;
-            scratch.mask_all = all_mask;
+                .greedy_masked_cumulative(&problem, None, comp, scratch)?;
             let s_f = better_feasible(&problem, s_rank, s_cum);
-            let s_l = match &mask {
-                Some(m) => Some(
+            let s_l = mask
+                .as_deref()
+                .map(|m| {
                     self.backend
-                        .greedy_masked_cumulative(&problem, m, comp, scratch)?,
-                ),
-                None => None,
-            };
+                        .greedy_masked_cumulative(&problem, Some(m), comp, scratch)
+                })
+                .transpose()?;
             if let Some(m) = mask {
                 scratch.mask_lower = m;
             }
@@ -825,7 +809,7 @@ impl PreparedIndex {
                 .take(problem.k)
                 .copied()
                 .collect();
-            let (seeds, info) = sandwich_select_with_su(&problem, seedless, s_f, s_l, s_u);
+            let (seeds, info) = sandwich_select(&problem, seedless, s_f, s_l, s_u);
             (seeds, Some(info))
         };
         let elapsed = start.elapsed();
@@ -863,38 +847,17 @@ impl PreparedIndex {
         meter: &Arc<CostMeter>,
     ) -> Result<Outcome> {
         self.validate_query(query)?;
-        let plain = Query {
-            k: query.k,
-            rule: query.rule.clone(),
-            target: query.target,
-            mode: SelectionMode::Plain,
-        };
-        let problem = self.spec.query_problem(plain.k, plain.rule.clone());
-
-        // Shared one-time index artifacts (competitor matrix, rank
-        // index) build unmetered: they are amortized over every future
-        // query on this index, and metering them would make the first
-        // budgeted query's degradation point depend on cache state.
-        let competitive = problem.is_competitive() && self.backend.needs_exact_competitors();
-        let comp = if competitive {
-            let matrix = self.others.get_or_init(|| problem.non_target_opinions());
-            let ranks = self.ranks.get_or_init(|| {
-                phases::timed(Phase::Scoring, || RankIndex::build(matrix, problem.target))
-            });
-            Some(Competitors { matrix, ranks })
-        } else {
-            None
-        };
+        let problem = self.spec.query_problem(query.k, query.rule.clone());
+        let comp = self.competitors(&problem);
 
         // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
         let start = Instant::now();
-        scratch.meter = Some(Arc::clone(meter));
-        let greedy_result = self.backend.greedy(&problem, comp, scratch);
-        scratch.meter = None;
-        let seeds = greedy_result?;
+        let seeds = self
+            .backend
+            .greedy(&problem, comp, scratch, Some(meter.as_ref()))?;
         let elapsed = start.elapsed();
 
-        if meter.exhausted() && seeds.len() < plain.k {
+        if meter.exhausted() && seeds.len() < query.k {
             return Ok(Outcome::Degraded {
                 seeds_prefix: seeds,
                 budget_spent: meter.spent(),
@@ -1007,75 +970,6 @@ impl QuerySession {
     pub fn select_with_meter(&mut self, query: &Query, meter: &Arc<CostMeter>) -> Result<Outcome> {
         self.queries += 1;
         self.index.select_budgeted(query, &mut self.scratch, meter)
-    }
-}
-
-/// Source-compatible single-caller wrapper over the split lifecycle: a
-/// [`PreparedIndex`] plus one private [`QuerySession`], exposing the
-/// historical `prepare`/`select` API (`select` takes `&mut self` because
-/// the inner session does). The lifetime parameter is vestigial — the
-/// index owns its instance — and kept so existing signatures compile
-/// unchanged. Use [`Prepared::index`] to share the artifacts with more
-/// sessions.
-pub struct Prepared<'a> {
-    session: QuerySession,
-    _instance: PhantomData<&'a ()>,
-}
-
-impl<'a> Prepared<'a> {
-    /// Wraps an index (with a fresh private session).
-    pub fn from_index(index: PreparedIndex) -> Prepared<'a> {
-        Prepared {
-            session: QuerySession::new(Arc::new(index)),
-            _instance: PhantomData,
-        }
-    }
-
-    /// The shared index, for opening further sessions on other threads.
-    pub fn index(&self) -> &Arc<PreparedIndex> {
-        self.session.index()
-    }
-
-    /// The registry identity of the prepared method.
-    pub fn method_id(&self) -> MethodId {
-        self.session.index.method_id()
-    }
-
-    /// The maximum budget queries may request.
-    pub fn budget(&self) -> usize {
-        self.session.index.budget()
-    }
-
-    /// The prepared target candidate.
-    pub fn target(&self) -> Candidate {
-        self.session.index.target()
-    }
-
-    /// The scoring rule the engine was prepared with (queries may use any
-    /// other rule; its artifacts are then built on first use).
-    pub fn rule(&self) -> &ScoringFunction {
-        self.session.index.rule()
-    }
-
-    /// Build-side diagnostics.
-    pub fn build_stats(&self) -> BuildStats {
-        self.session.index.build_stats()
-    }
-
-    /// An auto-mode query for `k` seeds under the prepared rule.
-    pub fn query(&self, k: usize) -> Query {
-        self.session.query(k)
-    }
-
-    /// Convenience: auto-mode selection of `k` seeds under the prepared
-    /// rule.
-    pub fn select_k(&mut self, k: usize) -> Result<SelectionResult> {
-        self.session.select_k(k)
-    }
-
-    /// Answers one query against the prepared artifacts.
-    pub fn select(&mut self, query: &Query) -> Result<SelectionResult> {
-        self.session.select(query)
     }
 }
 
@@ -1209,6 +1103,7 @@ impl IndexBackend for DmIndex {
         problem: &Problem<'_>,
         comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
+        meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
         // Queries must hit the exact system the index pinned at prepare
         // time — if this fails, something invalidated the instance's
@@ -1217,54 +1112,37 @@ impl IndexBackend for DmIndex {
             &self.system,
             problem.instance.candidate(problem.target).system()
         ));
-        let meter = scratch.meter.clone();
-        if matches!(problem.score, ScoringFunction::Cumulative) {
-            if let Some(m) = &meter {
-                // A metered run may stop early, so it must neither read
-                // nor seed the shared cum_order cache: reading would skip
-                // the charges the budget is supposed to see, and writing
-                // would poison every later query with a truncated order.
-                // The fresh run uses the prepared budget so its charge
-                // trajectory prefixes the cached run's exactly.
-                let budget_problem = problem.with_budget(self.budget);
-                let order =
-                    dm_greedy_prepared_metered(&budget_problem, comp, &scratch.dm_pool, Some(m));
-                return Ok(order.iter().take(problem.k).copied().collect());
-            }
-            // One cumulative CELF run at the prepared budget serves every
-            // query budget (prefix-consistency; asserted against the
-            // one-shot path by tests/prepared_equivalence.rs).
-            let order = self.cum_order.get_or_init(|| {
-                let budget_problem = problem.with_budget(self.budget);
-                Arc::new(dm_greedy_prepared_metered(
-                    &budget_problem,
-                    comp,
-                    &scratch.dm_pool,
-                    None,
-                ))
-            });
-            return Ok(order.iter().take(problem.k).copied().collect());
+        if !matches!(problem.score, ScoringFunction::Cumulative) {
+            return Ok(dm_greedy(problem, comp, &scratch.dm_pool, meter));
         }
-        Ok(dm_greedy_prepared_metered(
-            problem,
-            comp,
-            &scratch.dm_pool,
-            meter.as_deref(),
-        ))
+        // One cumulative CELF run at the prepared budget serves every
+        // query budget (prefix-consistency; asserted against a fresh
+        // per-budget index by tests/prepared_equivalence.rs). A metered
+        // run may stop early, so it must neither read nor seed the shared
+        // cum_order cache: reading would skip the charges the budget is
+        // supposed to see, and writing would poison every later query
+        // with a truncated order. Its fresh run also uses the prepared
+        // budget, so its charge trajectory prefixes the cached run's.
+        let budget_problem = problem.with_budget(self.budget);
+        let pool = &scratch.dm_pool;
+        let order = match meter {
+            Some(m) => Arc::new(dm_greedy(&budget_problem, comp, pool, Some(m))),
+            None => Arc::clone(
+                self.cum_order
+                    .get_or_init(|| Arc::new(dm_greedy(&budget_problem, comp, pool, None))),
+            ),
+        };
+        Ok(order.iter().take(problem.k).copied().collect())
     }
 
     fn greedy_masked_cumulative(
         &self,
         problem: &Problem<'_>,
-        mask: &[bool],
+        mask: Option<&[bool]>,
         _comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
     ) -> Result<Vec<Node>> {
-        Ok(dm_greedy_masked_cumulative_with(
-            problem,
-            mask,
-            &scratch.dm_pool,
-        ))
+        Ok(dm_cumulative_celf(problem, mask, &scratch.dm_pool, None))
     }
 
     fn supports_sandwich(&self) -> bool {
@@ -1362,24 +1240,25 @@ impl IndexBackend for RwIndex {
         &self,
         problem: &Problem<'_>,
         comp: Option<Competitors<'_>>,
-        scratch: &mut SessionScratch,
+        _scratch: &mut SessionScratch,
+        meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
         let arena = self.ensure_arena(problem, comp.map(|c| c.matrix));
         let mut est = self.estimator(arena, problem);
-        Ok(crate::greedy::greedy_on_estimate_metered(
+        Ok(crate::greedy::greedy_on_estimate(
             &mut est,
             problem.k,
             &problem.score,
             comp,
             problem.target,
-            scratch.meter.as_deref(),
+            meter,
         ))
     }
 
     fn greedy_masked_cumulative(
         &self,
         problem: &Problem<'_>,
-        mask: &[bool],
+        mask: Option<&[bool]>,
         comp: Option<Competitors<'_>>,
         _scratch: &mut SessionScratch,
     ) -> Result<Vec<Node>> {
@@ -1472,21 +1351,21 @@ impl IndexBackend for RsIndex {
         problem: &Problem<'_>,
         comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
+        meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
         let (theta, pristine) = self.ensure_sketch(problem);
         let cand = problem.instance.candidate(problem.target);
-        let meter = scratch.meter.clone();
         let mut sketch = scratch.checkout_sketch(theta, &pristine);
         for &s in &cand.fixed_seeds {
             sketch.add_seed(s);
         }
-        let seeds = crate::greedy::greedy_on_estimate_metered(
+        let seeds = crate::greedy::greedy_on_estimate(
             &mut sketch,
             problem.k,
             &problem.score,
             comp,
             problem.target,
-            meter.as_deref(),
+            meter,
         );
         scratch.return_sketch(theta, sketch);
         Ok(seeds)
@@ -1495,7 +1374,7 @@ impl IndexBackend for RsIndex {
     fn greedy_masked_cumulative(
         &self,
         problem: &Problem<'_>,
-        mask: &[bool],
+        mask: Option<&[bool]>,
         _comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
     ) -> Result<Vec<Node>> {
@@ -1522,6 +1401,7 @@ impl IndexBackend for RsIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rs::RsConfig;
     use vom_diffusion::Instance;
     use vom_graph::builder::graph_from_edges;
 
@@ -1539,7 +1419,8 @@ mod tests {
     fn prepare_once_serves_every_budget_and_rule() {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 2, 1, ScoringFunction::Cumulative).unwrap();
-        let mut prepared = Engine::rs_default().prepare(&spec).unwrap();
+        let index = Arc::new(Engine::rs_default().prepare_index(&spec).unwrap());
+        let mut prepared = PreparedIndex::session(&index);
         // Budget 1, cumulative: node 0 (Table I).
         let r1 = prepared.select_k(1).unwrap();
         assert_eq!(r1.seeds, vec![0]);
@@ -1556,7 +1437,8 @@ mod tests {
     fn select_rejects_invalid_queries_readably() {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
-        let mut prepared = Engine::Dm.prepare(&spec).unwrap();
+        let index = Arc::new(Engine::Dm.prepare_index(&spec).unwrap());
+        let mut prepared = PreparedIndex::session(&index);
         // k over the prepared budget.
         assert!(matches!(
             prepared.select_k(2),
@@ -1588,26 +1470,28 @@ mod tests {
     fn build_stats_track_artifacts() {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
-        let mut prepared = Engine::rw_default().prepare(&spec).unwrap();
-        let stats = prepared.build_stats();
+        let index = Arc::new(Engine::rw_default().prepare_index(&spec).unwrap());
+        let mut prepared = PreparedIndex::session(&index);
+        let stats = index.build_stats();
         assert_eq!(stats.artifact_builds, 1);
         assert!(stats.heap_bytes > 0);
         // Re-querying the prepared class builds nothing new.
         prepared.select_k(1).unwrap();
         prepared.select_k(1).unwrap();
-        assert_eq!(prepared.build_stats().artifact_builds, 1);
+        assert_eq!(index.build_stats().artifact_builds, 1);
         // A competitive query lazily adds that class's arena, once.
         let q = Query::new(1, ScoringFunction::Plurality, 0);
         prepared.select(&q).unwrap();
         prepared.select(&q).unwrap();
-        assert_eq!(prepared.build_stats().artifact_builds, 2);
+        assert_eq!(index.build_stats().artifact_builds, 2);
     }
 
     #[test]
     fn dm_holds_no_estimator_memory() {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
-        let mut prepared = Engine::Dm.prepare(&spec).unwrap();
+        let index = Arc::new(Engine::Dm.prepare_index(&spec).unwrap());
+        let mut prepared = PreparedIndex::session(&index);
         let res = prepared.select_k(1).unwrap();
         assert_eq!(res.estimator_heap_bytes, 0);
         assert_eq!(res.exact_score, 4.0);
@@ -1708,5 +1592,93 @@ mod tests {
         // Scratch reuse must not leak previous query state into results.
         assert_eq!(warm_1.seeds, warm_2.seeds);
         assert_eq!(warm_1.exact_score.to_bits(), warm_2.exact_score.to_bits());
+    }
+
+    fn engines() -> Vec<Engine> {
+        vec![
+            Engine::Dm,
+            Engine::rw_default(),
+            Engine::Rs(RsConfig {
+                theta_override: Some(50_000),
+                ..RsConfig::default()
+            }),
+        ]
+    }
+
+    #[test]
+    fn all_methods_solve_table1_cumulative() {
+        let inst = instance();
+        let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
+        for m in engines() {
+            let res = m.select_once(&p, SelectionMode::Auto).unwrap();
+            assert_eq!(res.seeds, vec![0], "{}", m.name());
+            assert!((res.exact_score - 3.30).abs() < 1e-9, "{}", m.name());
+            assert!(res.sandwich.is_none());
+        }
+    }
+
+    #[test]
+    fn all_methods_solve_table1_plurality_with_sandwich() {
+        let inst = instance();
+        let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
+        for m in engines() {
+            let res = m.select_once(&p, SelectionMode::Auto).unwrap();
+            assert_eq!(res.exact_score, 4.0, "{}", m.name());
+            let info = res.sandwich.expect("plurality uses sandwich");
+            assert!(info.ratio > 0.0 && info.ratio <= 1.0 + 1e-12);
+            assert!(info.s_l.is_some(), "plurality has a lower bound");
+        }
+    }
+
+    #[test]
+    fn all_methods_solve_table1_copeland_with_sandwich() {
+        let inst = instance();
+        let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Copeland).unwrap();
+        for m in engines() {
+            let res = m.select_once(&p, SelectionMode::Auto).unwrap();
+            assert_eq!(res.exact_score, 1.0, "{}", m.name());
+            let info = res.sandwich.expect("copeland uses sandwich");
+            assert!(info.s_l.is_none(), "no Copeland lower bound");
+        }
+    }
+
+    #[test]
+    fn estimator_methods_report_memory() {
+        let inst = instance();
+        let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
+        let dm = Engine::Dm.select_once(&p, SelectionMode::Auto).unwrap();
+        assert_eq!(dm.estimator_heap_bytes, 0);
+        let rw = Engine::rw_default()
+            .select_once(&p, SelectionMode::Auto)
+            .unwrap();
+        assert!(rw.estimator_heap_bytes > 0);
+    }
+
+    #[test]
+    fn method_names_come_from_the_registry() {
+        assert_eq!(Engine::Dm.name(), "DM");
+        assert_eq!(Engine::rw_default().name(), "RW");
+        assert_eq!(Engine::rs_default().name(), "RS");
+    }
+
+    /// Problem 1 asks for exactly `k` seeds: DM fills the budget once
+    /// gains vanish, the way RW and RS already do — in the plain
+    /// cumulative greedy and in the sandwich lower bound S_L alike.
+    #[test]
+    fn every_engine_fills_the_budget_when_gains_vanish() {
+        // Three isolated users; users 0 and 1 already hold opinion 1.0
+        // and prefer the target, so only user 2 can gain.
+        let g = Arc::new(graph_from_edges(3, &[]).unwrap());
+        let b = OpinionMatrix::from_rows(vec![vec![1.0, 1.0, 0.2], vec![0.5, 0.5, 0.5]]).unwrap();
+        let inst = Instance::shared(g, b, vec![0.0; 3]).unwrap();
+        let cum = Problem::new(&inst, 0, 2, 1, ScoringFunction::Cumulative).unwrap();
+        let plu = Problem::new(&inst, 0, 2, 1, ScoringFunction::Plurality).unwrap();
+        for m in [Engine::Dm, Engine::rw_default(), Engine::rs_default()] {
+            let res = m.select_once(&cum, SelectionMode::Plain).unwrap();
+            assert_eq!(res.seeds, vec![2, 0], "{} cumulative", m.name());
+            let res = m.select_once(&plu, SelectionMode::Auto).unwrap();
+            let info = res.sandwich.expect("plurality uses sandwich");
+            assert_eq!(info.s_l, Some(vec![0, 1]), "{} S_L", m.name());
+        }
     }
 }

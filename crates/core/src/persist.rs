@@ -970,6 +970,7 @@ mod tests {
                 problem: &Problem<'_>,
                 _comp: Option<crate::greedy::Competitors<'_>>,
                 _scratch: &mut crate::engine::SessionScratch,
+                _meter: Option<&crate::CostMeter>,
             ) -> crate::Result<Vec<Node>> {
                 Ok(vec![0; problem.k.min(1)])
             }

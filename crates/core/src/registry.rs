@@ -4,7 +4,7 @@
 //! engines or a baseline.
 //!
 //! Everything that used to hand-maintain its own copy of the legend
-//! strings ([`crate::Method::name`], the bench harness's `AnyMethod`)
+//! strings ([`crate::Engine::name`], the bench harness's `AnyMethod`)
 //! derives them from here instead.
 
 /// Identity of one compared method. The discriminant doubles as the

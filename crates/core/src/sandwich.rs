@@ -1,6 +1,6 @@
 //! Sandwich approximation (Algorithm 3, §IV).
 
-use crate::bounds::{evaluate_upper_bound, greedy_upper_bound, upper_bound_parts};
+use crate::bounds::{evaluate_upper_bound, upper_bound_parts};
 use crate::problem::Problem;
 use vom_diffusion::OpinionMatrix;
 use vom_graph::Node;
@@ -30,9 +30,16 @@ pub struct SandwichInfo {
 }
 
 /// Algorithm 3: given the method's feasible solution `S_F` (and `S_L`
-/// for the plurality variants), computes `S_U` by coverage greedy,
-/// evaluates all candidates **exactly**, and returns the best of them
-/// plus diagnostics.
+/// for the plurality variants) and the upper-bound greedy solution
+/// `S_U`, evaluates all candidates **exactly** and returns the best of
+/// them plus diagnostics.
+///
+/// `S_U` comes from the caller: the coverage greedy
+/// ([`crate::bounds::greedy_upper_bound`]) depends only on the graph,
+/// horizon, favorable base set, and budget — and its CELF selection is
+/// prefix-consistent in `k` — so prepared engines compute the order once
+/// at the prepared budget and every query hands in a prefix instead of
+/// re-running `n` bounded-BFS evaluations.
 ///
 /// `seedless` must be the exact horizon-`t` opinion matrix without target
 /// seeds (used to build the favorable base sets).
@@ -41,43 +48,13 @@ pub fn sandwich_select(
     seedless: &OpinionMatrix,
     s_f: Vec<Node>,
     s_l: Option<Vec<Node>>,
-) -> (Vec<Node>, SandwichInfo) {
-    let (multiplier, base) = upper_bound_parts(problem, seedless);
-    let s_u = greedy_upper_bound(problem, &base);
-    sandwich_finish(problem, s_f, s_l, s_u, multiplier, &base)
-}
-
-/// [`sandwich_select`] with the upper-bound greedy solution `S_U`
-/// supplied by the caller. The coverage greedy depends only on the
-/// graph, horizon, favorable base set, and budget — and its CELF
-/// selection is prefix-consistent in `k` — so prepared engines compute
-/// the order once at the prepared budget and every query hands in a
-/// prefix instead of re-running `n` bounded-BFS evaluations.
-pub fn sandwich_select_with_su(
-    problem: &Problem<'_>,
-    seedless: &OpinionMatrix,
-    s_f: Vec<Node>,
-    s_l: Option<Vec<Node>>,
     s_u: Vec<Node>,
 ) -> (Vec<Node>, SandwichInfo) {
     let (multiplier, base) = upper_bound_parts(problem, seedless);
-    sandwich_finish(problem, s_f, s_l, s_u, multiplier, &base)
-}
-
-/// Shared tail of the two entry points: exact evaluation of all
-/// candidate solutions and Algorithm 3's arbitration.
-fn sandwich_finish(
-    problem: &Problem<'_>,
-    s_f: Vec<Node>,
-    s_l: Option<Vec<Node>>,
-    s_u: Vec<Node>,
-    multiplier: f64,
-    base: &[Node],
-) -> (Vec<Node>, SandwichInfo) {
     let f_sf = problem.exact_score(&s_f);
     let f_su = problem.exact_score(&s_u);
     let f_sl = s_l.as_ref().map(|s| problem.exact_score(s));
-    let ub_su = evaluate_upper_bound(problem, base, multiplier, &s_u);
+    let ub_su = evaluate_upper_bound(problem, &base, multiplier, &s_u);
     let ratio = if ub_su > 0.0 { f_su / ub_su } else { 1.0 };
 
     let mut chosen = s_f.clone();
@@ -107,10 +84,16 @@ fn sandwich_finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::greedy_upper_bound;
     use std::sync::Arc;
     use vom_diffusion::Instance;
     use vom_graph::builder::graph_from_edges;
     use vom_voting::ScoringFunction;
+
+    /// The coverage greedy's `S_U` for `p`.
+    fn s_u(p: &Problem<'_>, seedless: &OpinionMatrix) -> Vec<Node> {
+        greedy_upper_bound(p, &upper_bound_parts(p, seedless).1)
+    }
 
     fn instance() -> Instance {
         let g = Arc::new(graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap());
@@ -130,7 +113,7 @@ mod tests {
         // Hand it a deliberately poor feasible solution; the UB greedy
         // should rescue the outcome (node 2 has the best coverage AND the
         // best plurality score).
-        let (chosen, info) = sandwich_select(&p, &seedless, vec![0], None);
+        let (chosen, info) = sandwich_select(&p, &seedless, vec![0], None, s_u(&p, &seedless));
         assert_eq!(info.f_sf, 2.0);
         assert_eq!(info.f_su, 4.0);
         assert_eq!(chosen, info.s_u);
@@ -143,7 +126,8 @@ mod tests {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
         let seedless = p.opinions(&[]);
-        let (chosen, info) = sandwich_select(&p, &seedless, vec![0], Some(vec![2]));
+        let (chosen, info) =
+            sandwich_select(&p, &seedless, vec![0], Some(vec![2]), s_u(&p, &seedless));
         assert_eq!(info.f_sl, Some(4.0));
         // S_L ties with S_U (both score 4); S_U wins the earlier check.
         assert_eq!(p.exact_score(&chosen), 4.0);
@@ -154,7 +138,7 @@ mod tests {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Copeland).unwrap();
         let seedless = p.opinions(&[]);
-        let (chosen, info) = sandwich_select(&p, &seedless, vec![2], None);
+        let (chosen, info) = sandwich_select(&p, &seedless, vec![2], None, s_u(&p, &seedless));
         assert!(info.s_l.is_none());
         assert_eq!(p.exact_score(&chosen), 1.0);
     }

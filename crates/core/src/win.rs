@@ -46,8 +46,8 @@ where
 
 /// [`min_seeds_to_win`] with a fallible selector: any selection error
 /// aborts the search and propagates. This is the variant the prepared
-/// engines plug into (`Prepared::select` returns `Result`), so harnesses
-/// need no `expect` inside the budget search.
+/// engines plug into ([`crate::engine::QuerySession::select`] returns
+/// `Result`), so harnesses need no `expect` inside the budget search.
 pub fn try_min_seeds_to_win<F, E>(
     problem: &Problem<'_>,
     mut select: F,
@@ -95,7 +95,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dm::dm_greedy;
+    use crate::dm::dm_select;
     use std::sync::Arc;
     use vom_diffusion::{Instance, OpinionMatrix};
     use vom_graph::builder::graph_from_edges;
@@ -117,7 +117,7 @@ mod tests {
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
         // Seedless: c1 has 2 voters, c2 has 2 -> no strict win.
         assert!(!wins(&p, &[]));
-        let res = min_seeds_to_win(&p, dm_greedy).unwrap();
+        let res = min_seeds_to_win(&p, dm_select).unwrap();
         assert_eq!(res.k, 1);
         assert!(wins(&p, &res.seeds));
     }
@@ -128,7 +128,7 @@ mod tests {
         // Target c2 (index 1) already wins the cumulative score:
         // 0.35+0.75+0.775+0.90 = 2.775 > 2.55.
         let p = Problem::new(&inst, 1, 1, 1, ScoringFunction::Cumulative).unwrap();
-        let res = min_seeds_to_win(&p, dm_greedy).unwrap();
+        let res = min_seeds_to_win(&p, dm_select).unwrap();
         assert_eq!(res.k, 0);
         assert!(res.seeds.is_empty());
     }
@@ -142,18 +142,18 @@ mod tests {
         let b = OpinionMatrix::from_rows(vec![vec![0.2], vec![1.0]]).unwrap();
         let inst = Instance::shared(g, b, vec![1.0]).unwrap();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
-        assert!(min_seeds_to_win(&p, dm_greedy).is_none());
+        assert!(min_seeds_to_win(&p, dm_select).is_none());
     }
 
     #[test]
     fn binary_search_matches_linear_scan() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Copeland).unwrap();
-        let res = min_seeds_to_win(&p, dm_greedy).unwrap();
+        let res = min_seeds_to_win(&p, dm_select).unwrap();
         // Linear reference: smallest k whose greedy seed set wins.
         let mut linear = None;
         for k in 0..=4 {
-            let seeds = dm_greedy(&p.with_budget(k));
+            let seeds = dm_select(&p.with_budget(k));
             if wins(&p, &seeds) {
                 linear = Some(k);
                 break;

@@ -46,7 +46,7 @@ use crate::budget::CostMeter;
 use crate::error::validate_unit_range;
 use crate::Result;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use vom_graph::{Node, SocialGraph};
 use vom_persist::FlatBuf;
 
@@ -64,7 +64,6 @@ static WARM_FRONTIER_NODES: AtomicU64 = AtomicU64::new(0);
 static BASELINE_IDS: AtomicU64 = AtomicU64::new(1);
 
 static WARM_DISABLED: AtomicBool = AtomicBool::new(false);
-static WARM_ENV: OnceLock<()> = OnceLock::new();
 
 /// Warm-solve saturation guard: once the changed set at some state
 /// reaches `n / DENSE_FALLBACK_DIVISOR`, the remaining steps run dense.
@@ -78,30 +77,16 @@ const DENSE_FALLBACK_DIVISOR: usize = 8;
 /// covered by the small-graph property tests.
 const DENSE_FALLBACK_MIN_N: usize = 64;
 
-fn warm_env_init() {
-    WARM_ENV.get_or_init(|| {
-        // audit:allow(d-env-read, "documented opt-out knob; toggles warm-start reuse, digests asserted identical either way")
-        if let Ok(v) = std::env::var("VOM_WARM_START") {
-            let off = matches!(v.trim(), "0" | "false" | "off" | "no");
-            WARM_DISABLED.store(off, Ordering::Relaxed);
-        }
-    });
-}
-
 /// Whether [`Solver::solve`] may take the warm-start path. Defaults to
-/// true; `VOM_WARM_START=0` in the environment or
-/// [`set_warm_start_enabled`]`(false)` force every solve cold (results
-/// are bit-identical either way — the switch exists so tests and benches
-/// can pin that equivalence).
+/// true; [`set_warm_start_enabled`]`(false)` forces every solve cold
+/// (results are bit-identical either way — the switch exists so tests
+/// and benches can pin that equivalence).
 pub fn warm_start_enabled() -> bool {
-    warm_env_init();
     !WARM_DISABLED.load(Ordering::Relaxed)
 }
 
-/// Overrides the warm-start toggle process-wide (takes precedence over
-/// the `VOM_WARM_START` environment variable).
+/// Sets the warm-start toggle process-wide.
 pub fn set_warm_start_enabled(enabled: bool) {
-    warm_env_init();
     WARM_DISABLED.store(!enabled, Ordering::Relaxed);
 }
 

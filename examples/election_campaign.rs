@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use vom::core::engine::{PreparedIndex, SeedSelector};
 use vom::core::win::{try_min_seeds_to_win, wins};
-use vom::core::{select_seeds, Engine, Problem, Query};
+use vom::core::{Engine, Problem, Query, SelectionMode};
 use vom::datasets::{twitter_election_like, ReplicaParams};
 use vom::voting::{tally, ScoringFunction};
 
@@ -48,7 +48,9 @@ fn main() {
     let k = 25;
     let problem =
         Problem::new(inst, target, k, t, ScoringFunction::Plurality).expect("valid problem");
-    let res = select_seeds(&problem, &Engine::rs_default()).expect("selection succeeds");
+    let res = Engine::rs_default()
+        .select_once(&problem, SelectionMode::Auto)
+        .expect("selection succeeds");
     println!(
         "\nwith {k} seeds: plurality {} -> {} ({} with the sandwich ratio {:.2})",
         standings.scores[target],

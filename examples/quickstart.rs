@@ -55,7 +55,7 @@ fn main() {
     //    session on it, then query per rule (the build-once/query-many
     //    lifecycle; the index is `Send + Sync`, so any number of threads
     //    could open their own sessions on the same `Arc` —
-    //    `select_seeds` remains as a one-shot shorthand).
+    //    `SeedSelector::select_once` is the one-shot shorthand).
     let spec =
         Problem::new(&instance, 0, 1, horizon, ScoringFunction::Cumulative).expect("valid problem");
     let index = Arc::new(Engine::Dm.prepare_index(&spec).expect("prepare succeeds"));

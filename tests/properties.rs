@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use vom::core::{Engine, SeedSelector, SelectionMode};
 use vom::diffusion::{FjEngine, Instance, OpinionMatrix};
 use vom::graph::builder::graph_from_edges;
 use vom::graph::{Node, SocialGraph};
@@ -103,7 +104,7 @@ proptest! {
         let p = vom::core::Problem::new(
             &inst, 0, 1, t, vom::voting::ScoringFunction::Cumulative,
         ).unwrap();
-        let greedy = p.exact_score(&vom::core::dm::dm_greedy(&p));
+        let greedy = Engine::Dm.select_once(&p, SelectionMode::Plain).unwrap().exact_score;
         let best = (0..n as Node)
             .map(|v| p.exact_score(&[v]))
             .fold(f64::NEG_INFINITY, f64::max);

@@ -6,9 +6,9 @@
 //! suite pins, re-asserted on the workload that grows toward 10⁶.
 
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use vom::core::rs::RsConfig;
-use vom::core::{Engine, Problem, Query, SeedSelector, SelectionMode};
+use vom::core::{Engine, PreparedIndex, Problem, Query, SeedSelector, SelectionMode};
 use vom::datasets::{scale_stress, ScaleParams};
 use vom::graph::stats::GraphStats;
 use vom::voting::ScoringFunction;
@@ -35,7 +35,7 @@ fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 /// RS selection over one stress instance: the (seeds, exact score)
 /// fingerprint the determinism contracts compare.
-fn rs_selection(nodes: usize, seed: u64, k: usize) -> (Vec<vom::graph::Node>, u64) {
+fn rs_fingerprint(nodes: usize, seed: u64, k: usize) -> (Vec<vom::graph::Node>, u64) {
     let ds = scale_stress(&ScaleParams { nodes, seed });
     let spec = Problem::new(
         &ds.instance,
@@ -50,7 +50,8 @@ fn rs_selection(nodes: usize, seed: u64, k: usize) -> (Vec<vom::graph::Node>, u6
         theta_override: Some(nodes),
         ..RsConfig::default()
     });
-    let mut prepared = engine.prepare(&spec).unwrap();
+    let index = Arc::new(engine.prepare_index(&spec).unwrap());
+    let mut prepared = PreparedIndex::session(&index);
     let query = Query {
         k,
         rule: ScoringFunction::Cumulative,
@@ -94,9 +95,9 @@ fn stress_datasets_are_bit_identical_across_thread_counts() {
 fn stress_selections_are_bit_identical_across_thread_counts() {
     let _guard = pool_lock();
     let (nodes, seed, k) = (3_000, 0x5CA1E, 8);
-    let reference = with_threads(1, || rs_selection(nodes, seed, k));
+    let reference = with_threads(1, || rs_fingerprint(nodes, seed, k));
     for threads in [2, 8] {
-        let rerun = with_threads(threads, || rs_selection(nodes, seed, k));
+        let rerun = with_threads(threads, || rs_fingerprint(nodes, seed, k));
         assert_eq!(
             rerun, reference,
             "scale-stress RS selection diverged at {threads} threads"
@@ -130,8 +131,8 @@ proptest! {
         seed in 0u64..1_000,
         k in 1usize..6,
     ) {
-        let first = rs_selection(nodes, seed, k);
-        let second = rs_selection(nodes, seed, k);
+        let first = rs_fingerprint(nodes, seed, k);
+        let second = rs_fingerprint(nodes, seed, k);
         prop_assert_eq!(first, second);
     }
 }
