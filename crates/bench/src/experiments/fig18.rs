@@ -14,8 +14,7 @@ pub fn run(cfg: &ExpConfig) -> Result<()> {
         mu: 10.0,
     };
     let ds = yelp_like(&params);
-    let cand = ds.instance.candidate(ds.default_target);
-    let engine = cand.engine();
+    let system = ds.instance.candidate(ds.default_target).system();
     let t_max = 30;
     let tolerances = [0.1, 0.5, 1.0, 5.0];
     let mut table = Table::new(
@@ -25,7 +24,7 @@ pub fn run(cfg: &ExpConfig) -> Result<()> {
     );
     let series: Vec<Vec<f64>> = tolerances
         .iter()
-        .map(|&tol| change_fraction_series(&engine, &[], t_max, tol))
+        .map(|&tol| change_fraction_series(system, &[], t_max, tol))
         .collect();
     for (t, row) in (1..=t_max).zip(0..t_max) {
         table.row(vec![

@@ -1,7 +1,6 @@
 //! Multi-candidate problem instances.
 
 use crate::error::{validate_unit_range, DiffusionError};
-use crate::fj::FjEngine;
 use crate::opinion::OpinionMatrix;
 use crate::shared::SharedValues;
 use crate::solver::{DiffusionSystem, SolveOptions, Solver};
@@ -25,7 +24,7 @@ pub struct CandidateData {
     /// a window into the instance's shared opinion buffer when built via
     /// [`Instance::shared`] (structure-of-arrays storage).
     pub initial: SharedValues,
-    /// Stubbornness diagonal `D_q` — one buffer shared by all candidates
+    /// The stubbornness diagonal `D_q` — one buffer shared by all candidates
     /// when built via [`Instance::shared`].
     pub stubbornness: SharedValues,
     /// Seeds committed for this candidate at time 0.
@@ -80,12 +79,6 @@ impl CandidateData {
         validate_unit_range("initial opinion", &self.initial)?;
         validate_unit_range("stubbornness", &self.stubbornness)?;
         Ok(())
-    }
-
-    /// An exact FJ engine over this candidate's inputs.
-    pub fn engine(&self) -> FjEngine<'_> {
-        FjEngine::new(&self.graph, &self.initial, &self.stubbornness)
-            .expect("validated at construction")
     }
 
     /// The candidate's [`DiffusionSystem`], built on first use and cached:

@@ -1,88 +1,42 @@
-//! Convergence analysis and per-step opinion-change tracking.
+//! Per-step opinion-change tracking and oblivious-node detection.
 //!
 //! The paper motivates the *finite time horizon* (Appendix B) by showing
 //! that a significant fraction of users still change opinions before
 //! `t = 30` (Figure 18) and that optimal seed sets differ across horizons.
-//! These routines reproduce that analysis and detect FJ convergence.
+//! These routines reproduce that analysis and check FJ's convergence
+//! precondition.
 
-use crate::fj::FjEngine;
-use crate::solver::{DiffusionSystem, SolveOptions, SolveReport, Solver};
+use crate::solver::{DiffusionSystem, SolveOptions, Solver};
 use std::sync::Arc;
-use vom_graph::Node;
-
-/// Result of running FJ until the opinions stop moving.
-///
-/// This is the historical, convergence-focused view; the solver-level
-/// [`SolveReport`] carries the same information plus residual/frontier
-/// detail, and this type is now derived from it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConvergenceReport {
-    /// Number of steps actually taken.
-    pub steps: usize,
-    /// Whether `max_v |b_v^(t) − b_v^(t−1)| < eps` was reached within the
-    /// step budget.
-    pub converged: bool,
-    /// Opinions at the final step.
-    pub opinions: Vec<f64>,
-}
-
-impl ConvergenceReport {
-    /// Derives the legacy report from a solver run.
-    fn from_solve(report: SolveReport, eps: f64, opinions: Vec<f64>) -> ConvergenceReport {
-        ConvergenceReport {
-            steps: report.steps,
-            // The historical loop only tested deltas of executed steps, so a
-            // zero step budget never counted as converged.
-            converged: report.steps > 0 && report.residual < eps,
-            opinions,
-        }
-    }
-}
-
-/// Iterates FJ with seed set `seeds` until the maximum per-node change
-/// drops below `eps`, or `max_steps` is exhausted.
-///
-/// Compatibility wrapper over [`Solver::solve`] with
-/// [`SolveOptions::with_tolerance`] — one `O(t · m)` pass instead of the
-/// historical `O(t² · m)` re-evaluation per horizon. New code should build
-/// a [`DiffusionSystem`] once and call the solver directly.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a DiffusionSystem and use Solver::solve with SolveOptions::with_tolerance"
-)]
-pub fn run_until_convergence(
-    engine: &FjEngine<'_>,
-    seeds: &[Node],
-    eps: f64,
-    max_steps: usize,
-) -> ConvergenceReport {
-    let system = Arc::new(
-        DiffusionSystem::new(engine.graph(), engine.initial(), engine.stubbornness())
-            .expect("engine inputs were validated at construction"),
-    );
-    let mut solver = Solver::new(system);
-    let report = solver.solve(seeds, &SolveOptions::exact(max_steps).with_tolerance(eps));
-    ConvergenceReport::from_solve(report, eps, solver.opinions().to_vec())
-}
+use vom_graph::{Node, SocialGraph};
 
 /// For each `t ∈ 1..=t_max`, the fraction of nodes whose opinion changed
 /// by more than `tolerance_percent`% of its previous value — exactly the
 /// quantity plotted in Figure 18:
 /// `|b^(t) − b^(t−1)| > (∆/100) · b^(t−1)`.
+///
+/// The trajectory comes from one recording solve; its rows past a
+/// bitwise fixed point clamp (see [`crate::Baseline::row`]), so the
+/// series reads zero from there on.
 pub fn change_fraction_series(
-    engine: &FjEngine<'_>,
+    system: &Arc<DiffusionSystem>,
     seeds: &[Node],
     t_max: usize,
     tolerance_percent: f64,
 ) -> Vec<f64> {
-    let traj = engine.trajectory(t_max, seeds);
-    let n = engine.graph().num_nodes() as f64;
+    let mut solver = Solver::new(Arc::clone(system));
+    solver.solve(seeds, &SolveOptions::exact(t_max).recording());
+    let base = solver
+        .baseline()
+        .expect("a recording solve installs its baseline");
+    let n = system.num_nodes() as f64;
     let thr = tolerance_percent / 100.0;
-    traj.windows(2)
-        .map(|w| {
-            let changed = w[0]
+    (1..=t_max)
+        .map(|t| {
+            let changed = base
+                .row(t - 1)
                 .iter()
-                .zip(&w[1])
+                .zip(base.row(t))
                 .filter(|(prev, cur)| (*cur - *prev).abs() > thr * **prev)
                 .count();
             changed as f64 / n
@@ -94,14 +48,14 @@ pub fn change_fraction_series(
 /// from any (partially or fully) stubborn node. FJ convergence is
 /// guaranteed iff the subgraph induced by oblivious nodes is regular or
 /// empty; detecting them lets callers check the precondition.
-pub fn oblivious_nodes(engine: &FjEngine<'_>) -> Vec<Node> {
-    let g = engine.graph();
-    let d = engine.stubbornness();
-    let n = g.num_nodes();
+///
+/// `stubbornness` is the diagonal of `D`, one value per node of `graph`.
+pub fn oblivious_nodes(graph: &SocialGraph, stubbornness: &[f64]) -> Vec<Node> {
+    let n = graph.num_nodes();
     // Nodes without in-edges hold their initial opinion forever; they act
     // as stubborn sources for this analysis.
     let stubborn: Vec<Node> = (0..n as Node)
-        .filter(|&v| d[v as usize] > 0.0 || !g.has_in_edges(v))
+        .filter(|&v| stubbornness[v as usize] > 0.0 || !graph.has_in_edges(v))
         .collect();
     let mut reachable = vec![false; n];
     let mut queue = std::collections::VecDeque::new();
@@ -110,7 +64,7 @@ pub fn oblivious_nodes(engine: &FjEngine<'_>) -> Vec<Node> {
         queue.push_back(s);
     }
     while let Some(v) = queue.pop_front() {
-        for &w in g.out_neighbors(v) {
+        for &w in graph.out_neighbors(v) {
             if !reachable[w as usize] {
                 reachable[w as usize] = true;
                 queue.push_back(w);
@@ -118,56 +72,100 @@ pub fn oblivious_nodes(engine: &FjEngine<'_>) -> Vec<Node> {
         }
     }
     (0..n as Node)
-        .filter(|&v| d[v as usize] == 0.0 && g.has_in_edges(v) && !reachable[v as usize])
+        .filter(|&v| {
+            stubbornness[v as usize] == 0.0 && graph.has_in_edges(v) && !reachable[v as usize]
+        })
         .collect()
 }
 
 #[cfg(test)]
-// Pins the deprecated compatibility wrapper against the solver.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use vom_graph::builder::graph_from_edges;
 
-    #[test]
-    fn converges_on_running_example() {
-        let g = graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap();
-        let b0 = vec![0.40, 0.80, 0.60, 0.90];
-        let d = vec![0.0, 0.0, 0.5, 0.5];
-        let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let rep = run_until_convergence(&eng, &[], 1e-9, 500);
-        assert!(rep.converged);
-        // Fixed point of node 2: b = 0.5*0.6 + 0.5*0.6 = 0.6.
-        assert!((rep.opinions[2] - 0.6).abs() < 1e-6);
-        // Fixed point of node 3: b = 0.5*b2 + 0.5*0.9 -> 0.75.
-        assert!((rep.opinions[3] - 0.75).abs() < 1e-6);
+    fn system(g: &SocialGraph, b0: &[f64], d: &[f64]) -> Arc<DiffusionSystem> {
+        Arc::new(DiffusionSystem::new(g, b0, d).unwrap())
     }
 
-    #[test]
-    fn non_convergent_cycle_hits_step_budget() {
-        // Pure 2-cycle oscillates forever under DeGroot.
-        let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let eng = FjEngine::new(&g, &[1.0, 0.0], &[0.0, 0.0]).unwrap();
-        let rep = run_until_convergence(&eng, &[], 1e-9, 50);
-        assert!(!rep.converged);
-        assert_eq!(rep.steps, 50);
+    /// Figure 18's series built from independent per-horizon cold solves
+    /// (`t_max + 1` of them) instead of one recorded trajectory.
+    fn per_horizon_series(
+        sys: &Arc<DiffusionSystem>,
+        seeds: &[Node],
+        t_max: usize,
+        tolerance_percent: f64,
+    ) -> Vec<f64> {
+        let rows: Vec<Vec<f64>> = (0..=t_max)
+            .map(|t| {
+                let mut solver = Solver::new(Arc::clone(sys));
+                solver.solve(seeds, &SolveOptions::exact(t));
+                solver.opinions().to_vec()
+            })
+            .collect();
+        let thr = tolerance_percent / 100.0;
+        rows.windows(2)
+            .map(|w| {
+                let changed = w[0]
+                    .iter()
+                    .zip(&w[1])
+                    .filter(|(prev, cur)| (*cur - *prev).abs() > thr * **prev)
+                    .count();
+                changed as f64 / sys.num_nodes() as f64
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn change_fraction_decays_to_zero() {
         let g = graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap();
-        let b0 = vec![0.40, 0.80, 0.60, 0.90];
-        let d = vec![0.0, 0.0, 0.5, 0.5];
-        let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let series = change_fraction_series(&eng, &[], 40, 1.0);
+        let sys = system(&g, &[0.40, 0.80, 0.60, 0.90], &[0.0, 0.0, 0.5, 0.5]);
+        let series = change_fraction_series(&sys, &[], 40, 1.0);
         assert_eq!(series.len(), 40);
         assert!(series[0] > 0.0, "something changes at t=1");
         assert_eq!(*series.last().unwrap(), 0.0, "settled by t=40");
         // Larger tolerance can only reduce the changing fraction.
-        let loose = change_fraction_series(&eng, &[], 40, 20.0);
+        let loose = change_fraction_series(&sys, &[], 40, 20.0);
         for (tight, loose) in series.iter().zip(&loose) {
             assert!(loose <= tight);
         }
+    }
+
+    #[test]
+    fn recorded_series_matches_per_horizon_cold_solves() {
+        // Running example: settles to a bitwise fixed point well before
+        // t_max, so the recorded rows past it are clamped.
+        let g = graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap();
+        let settling = system(&g, &[0.40, 0.80, 0.60, 0.90], &[0.0, 0.0, 0.5, 0.5]);
+        let t_max = 200;
+        let rep = Solver::new(Arc::clone(&settling)).solve(&[1], &SolveOptions::exact(t_max));
+        assert!(rep.converged && rep.steps < t_max, "{rep:?}");
+        // DeGroot 2-cycle: swaps forever, every row is stored.
+        let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let cycle = system(&g, &[1.0, 0.2], &[0.0, 0.0]);
+        for (sys, seeds, t_max) in [
+            (&settling, &[][..], t_max),
+            (&settling, &[1][..], t_max),
+            (&cycle, &[][..], 30),
+            (&settling, &[][..], 0),
+            (&cycle, &[][..], 0),
+        ] {
+            for tol in [0.1, 1.0, 5.0] {
+                let recorded = change_fraction_series(sys, seeds, t_max, tol);
+                assert_eq!(recorded.len(), t_max);
+                assert_eq!(
+                    bits(&recorded),
+                    bits(&per_horizon_series(sys, seeds, t_max, tol)),
+                    "seeds {seeds:?}, t_max {t_max}, tol {tol}"
+                );
+            }
+        }
+        assert!(change_fraction_series(&cycle, &[], 30, 1.0)
+            .iter()
+            .all(|&f| f == 1.0));
     }
 
     #[test]
@@ -176,23 +174,19 @@ mod tests {
         // stubborn; node 2 is fed only by the cycle, so all three are
         // oblivious (nothing stubborn exists in this graph).
         let g = graph_from_edges(3, &[(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0)]).unwrap();
-        let eng = FjEngine::new(&g, &[0.1, 0.2, 0.3], &[0.0, 0.0, 0.0]).unwrap();
-        let obl = oblivious_nodes(&eng);
-        assert_eq!(obl, vec![0, 1, 2]);
+        assert_eq!(oblivious_nodes(&g, &[0.0, 0.0, 0.0]), vec![0, 1, 2]);
     }
 
     #[test]
     fn stubbornness_removes_obliviousness() {
         let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let eng = FjEngine::new(&g, &[0.1, 0.2], &[0.5, 0.0]).unwrap();
-        assert!(oblivious_nodes(&eng).is_empty());
+        assert!(oblivious_nodes(&g, &[0.5, 0.0]).is_empty());
     }
 
     #[test]
     fn source_fed_nodes_are_not_oblivious() {
         // 0 (no in-edges) -> 1: node 1 is anchored by the source.
         let g = graph_from_edges(2, &[(0, 1, 1.0)]).unwrap();
-        let eng = FjEngine::new(&g, &[0.1, 0.2], &[0.0, 0.0]).unwrap();
-        assert!(oblivious_nodes(&eng).is_empty());
+        assert!(oblivious_nodes(&g, &[0.0, 0.0]).is_empty());
     }
 }

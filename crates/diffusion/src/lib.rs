@@ -2,30 +2,30 @@
 #![warn(missing_docs)]
 //! # vom-diffusion
 //!
-//! Opinion-formation models over a [`vom_graph::SocialGraph`]: the
-//! **DeGroot** model and its stubbornness extension, the
-//! **Friedkin–Johnsen (FJ)** model, exactly as used by the paper
-//! (§II-A, Equations 1–2):
+//! The **Friedkin–Johnsen (FJ)** opinion-formation model over a
+//! [`vom_graph::SocialGraph`], exactly as used by the paper (§II-A,
+//! Equations 1–2):
 //!
 //! ```text
 //! B_q^(t+1) = B_q^(t) · W_q · (I − D_q) + B_q^(0) · D_q
 //! ```
 //!
-//! The crate provides:
+//! DeGroot is the special case `D_q = 0`. The crate provides:
 //!
 //! * [`OpinionMatrix`] — the `r × n` matrix `B` of user opinions in `[0,1]`;
-//! * [`FjEngine`] — an allocation-free exact engine computing `B_q^(t)[S]`
-//!   for any seed set `S` by sparse matrix–vector iteration (the paper's
-//!   **DM** building block);
 //! * [`Instance`] — a full multi-candidate problem instance bundling, per
 //!   candidate, the influence matrix `W_q`, initial opinions `B_q^(0)`,
 //!   stubbornness `D_q`, and any pre-committed seed sets for non-target
 //!   candidates;
-//! * convergence analysis and per-step opinion-change tracking
+//! * [`Solver`] over a per-candidate [`DiffusionSystem`] — the one exact
+//!   engine computing `B_q^(t)[S]` for any seed set `S` by sparse
+//!   matrix–vector iteration (the paper's **DM** building block), with
+//!   bitwise fixed-point early exit and warm-start frontier solves;
+//! * per-step opinion-change tracking and oblivious-node detection
 //!   ([`convergence`], used by the paper's Appendix B / Figure 18).
 //!
 //! Seeding a node `s` for candidate `c_q` sets `b_qs^(0) = 1` **and**
-//! `d_qs = 1` (fully stubborn at the maximum opinion), per §II-C. Engines
+//! `d_qs = 1` (fully stubborn at the maximum opinion), per §II-C. Solves
 //! take seed sets as parameters rather than mutated inputs so that greedy
 //! seed selection can evaluate thousands of candidate sets without copying.
 //!
@@ -34,50 +34,48 @@
 //! The paper's Figure-1 running example at `t = 1` (Table I):
 //!
 //! ```
-//! use vom_diffusion::FjEngine;
+//! use std::sync::Arc;
+//! use vom_diffusion::{Instance, OpinionMatrix, SolveOptions, Solver};
 //! use vom_graph::builder::graph_from_edges;
 //!
 //! let g = graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])?;
-//! let engine = FjEngine::new(
-//!     &g,
-//!     &[0.40, 0.80, 0.60, 0.90], // initial opinions about the target
-//!     &[0.0, 0.0, 0.5, 0.5],     // stubbornness
+//! let inst = Instance::shared(
+//!     Arc::new(g),
+//!     OpinionMatrix::from_rows(vec![vec![0.40, 0.80, 0.60, 0.90]])?, // B⁰
+//!     vec![0.0, 0.0, 0.5, 0.5],                                     // D
 //! )?;
 //!
 //! // No seeds: users 3 and 4 average their in-neighbors with themselves.
-//! let b1 = engine.opinions_at(1, &[]);
+//! let b1 = inst.opinions_of(0, 1, &[]);
 //! assert!((b1[2] - 0.60).abs() < 1e-12);
 //! assert!((b1[3] - 0.75).abs() < 1e-12);
 //!
 //! // Seeding user 3 (paper seed set {3}) pins her at 1 and lifts user 4.
-//! let seeded = engine.opinions_at(1, &[2]);
-//! assert_eq!(seeded[2], 1.0);
-//! assert!((seeded[3] - 0.95).abs() < 1e-12);
+//! // A `Solver` reuses its scratch across solves of one candidate.
+//! let mut solver = Solver::new(Arc::clone(inst.candidate(0).system()));
+//! solver.solve(&[2], &SolveOptions::exact(1));
+//! assert_eq!(solver.opinions()[2], 1.0);
+//! assert!((solver.opinions()[3] - 0.95).abs() < 1e-12);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod budget;
 pub mod campaign;
 pub mod convergence;
-pub mod degroot;
 pub mod error;
-pub mod fj;
 pub mod opinion;
 pub mod shared;
 pub mod solver;
-pub mod stubbornness;
 
 pub use budget::{CostBudget, CostMeter};
 pub use campaign::{CandidateData, Instance};
 pub use error::DiffusionError;
-pub use fj::{DiffusionBuffer, FjEngine};
 pub use opinion::OpinionMatrix;
 pub use shared::SharedValues;
 pub use solver::{
     set_warm_start_enabled, warm_start_enabled, Baseline, DiffusionSystem, PooledSolver,
     SolveOptions, SolveReport, Solver, SolverCounters, SolverPool,
 };
-pub use stubbornness::Stubbornness;
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, DiffusionError>;

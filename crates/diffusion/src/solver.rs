@@ -1,10 +1,6 @@
-//! The unified sparse diffusion solver behind every exact FJ evaluation.
+//! The sparse diffusion solver behind every exact FJ evaluation.
 //!
-//! Three historical entry points ([`FjEngine::opinions_at`],
-//! [`FjEngine::opinions_at_with`], [`crate::convergence::run_until_convergence`])
-//! each re-ran the full `O(t·m)` fixed-horizon iteration from scratch.
-//! This module collapses them behind one API — [`Solver::solve`] — built
-//! on three pieces:
+//! One API — [`Solver::solve`] — built on three pieces:
 //!
 //! * [`DiffusionSystem`] — the candidate's influence system in a
 //!   solver-owned CSR layout (flat in-edge arrays plus the out-adjacency
@@ -12,8 +8,7 @@
 //!   via `Arc` by every session and worker;
 //! * cold solves with **exact fixed-point early-exit**: iteration stops
 //!   as soon as a step reproduces its input bit for bit (every later row
-//!   is provably identical) or, when a tolerance is supplied, as soon as
-//!   the residual `max_v |b_v^{(s)} − b_v^{(s−1)}|` drops below it;
+//!   is provably identical);
 //! * **warm-start incremental solves**: greedy seed selection evaluates
 //!   `S ∪ {v}` for thousands of trial nodes `v` against one committed
 //!   set `S`. A cold solve of `S` recorded as a [`Baseline`] trajectory
@@ -35,12 +30,7 @@
 //! step** — and detects change by bit comparison against the baseline
 //! row. Nothing is truncated and no tolerance is involved, which is why
 //! selection digests of warm-start greedy runs match the cold runs byte
-//! for byte. A nonzero [`SolveOptions::tolerance`] requests the
-//! *convergence* semantics instead; those solves always run cold.
-//!
-//! The legacy `FjEngine` entry points remain as thin compatibility shims
-//! over the same arithmetic for callers holding bare slices; new code
-//! should build a [`DiffusionSystem`] once and call [`Solver::solve`].
+//! for byte.
 
 use crate::budget::CostMeter;
 use crate::error::validate_unit_range;
@@ -49,9 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use vom_graph::{Node, SocialGraph};
 use vom_persist::FlatBuf;
-
-#[cfg(doc)]
-use crate::fj::FjEngine;
 
 // ---------------------------------------------------------------------
 // Process-wide solver counters and the warm-start toggle
@@ -176,8 +163,8 @@ pub struct DiffusionSystem {
 }
 
 impl DiffusionSystem {
-    /// Copies the graph's adjacency and validates `b0`/`d` exactly like
-    /// [`FjEngine::new`].
+    /// Copies the graph's adjacency after validating that `b0` and `d`
+    /// have length `n` and lie in `[0, 1]`.
     pub fn new(graph: &SocialGraph, b0: &[f64], d: &[f64]) -> Result<Self> {
         let n = graph.num_nodes();
         if b0.len() != n {
@@ -233,7 +220,9 @@ impl DiffusionSystem {
     }
 
     /// Reassembles a system from its persisted arrays (snapshot load).
-    /// The CSR shapes and every node id are validated up front so a
+    /// The CSR shapes, every node id and the `[0, 1]` range of `b0`/`d`
+    /// (NaN rejected) are validated up front, exactly as
+    /// [`DiffusionSystem::new`] validates its inputs, so a
     /// corrupt-but-digest-valid snapshot fails closed here; the folded
     /// per-node constants are recomputed from `b0`/`d` with the same
     /// expressions [`DiffusionSystem::new`] folds, which is bitwise
@@ -274,6 +263,12 @@ impl DiffusionSystem {
         }
         if (0..n).any(|v| has_in[v] != (in_offsets[v] < in_offsets[v + 1])) {
             return Err("has_in must mirror in-edge emptiness");
+        }
+        if validate_unit_range("initial opinion", &b0).is_err() {
+            return Err("initial opinions must lie in [0, 1]");
+        }
+        if validate_unit_range("stubbornness", &d).is_err() {
+            return Err("stubbornness must lie in [0, 1]");
         }
         let omd: Vec<f64> = d.iter().map(|&dv| 1.0 - dv).collect();
         let db0: Vec<f64> = d.iter().zip(b0.iter()).map(|(&dv, &bv)| dv * bv).collect();
@@ -326,7 +321,7 @@ impl DiffusionSystem {
         &self.b0
     }
 
-    /// Stubbornness diagonal `D` (without seeds applied).
+    /// The stubbornness diagonal `D` (without seeds applied).
     #[inline]
     pub fn stubbornness(&self) -> &[f64] {
         &self.d
@@ -389,40 +384,12 @@ impl DiffusionSystem {
         }
     }
 
-    /// One exact FJ step, bit-identical to [`FjEngine`]'s: seeds pinned
-    /// at 1, in-less nodes hold their value, everyone else averages
-    /// in-neighbors in CSR order. Returns `(max |next−cur|, next ≡ cur
-    /// bitwise)` so the caller gets residual and fixed-point detection
-    /// for free. Used by tolerance-mode solves; exact solves take the
-    /// leaner [`DiffusionSystem::step_exact`].
-    fn step(&self, is_seed: &[bool], cur: &[f64], next: &mut [f64]) -> (f64, bool) {
-        let mut residual = 0.0f64;
-        let mut bits_equal = true;
-        let mut start = 0usize;
-        for v in 0..self.n {
-            let end = self.in_offsets[v + 1];
-            let out = if is_seed[v] {
-                1.0
-            } else {
-                self.update(v, start, end, cur)
-            };
-            start = end;
-            next[v] = out;
-            if out.to_bits() != cur[v].to_bits() {
-                bits_equal = false;
-                residual = residual.max((out - cur[v]).abs());
-            }
-        }
-        (residual, bits_equal)
-    }
-
-    /// [`DiffusionSystem::step`] without residual tracking: the same
-    /// update values bit for bit, but only the fixed-point flag is
-    /// accumulated (branchlessly), and the seed pins come from a
-    /// **sorted, deduplicated** node list walked with a cursor — a
-    /// register compare per node instead of a byte load from a seed
-    /// mask. This is the hot kernel of exact solves, where the residual
-    /// is never read.
+    /// One exact FJ step: seeds pinned at 1, in-less nodes hold their
+    /// value, everyone else averages in-neighbors in CSR order. Returns
+    /// whether `next ≡ cur` bitwise (a fixed point), accumulated
+    /// branchlessly. The seed pins come from a **sorted, deduplicated**
+    /// node list walked with a cursor — a register compare per node
+    /// instead of a byte load from a seed mask.
     fn step_exact(&self, seeds_sorted: &[usize], cur: &[f64], next: &mut [f64]) -> bool {
         let mut diff_bits = 0u64;
         let mut start = 0usize;
@@ -452,18 +419,14 @@ impl DiffusionSystem {
 /// How one [`Solver::solve`] call should run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOptions {
-    /// Step budget `t` (the paper's finite horizon).
+    /// Step budget `t` (the paper's finite horizon). Only a bitwise
+    /// fixed point may end the iteration earlier.
     pub horizon: usize,
-    /// Residual threshold for convergence-style solves: stop once
-    /// `max_v |b_v^{(s)} − b_v^{(s−1)}| < tolerance`. `0.0` (the
-    /// default) keeps the exact fixed-horizon semantics, where only a
-    /// bitwise fixed point may end the iteration early.
-    pub tolerance: f64,
     /// Attempt the warm-start path: if the installed [`Baseline`] has
     /// the same horizon and its seeds are a prefix of this call's
     /// seeds, only the changed frontier is propagated. Falls back to a
     /// cold solve otherwise (and whenever [`warm_start_enabled`] is
-    /// off or a tolerance is set).
+    /// off).
     pub warm: bool,
     /// Record the cold trajectory and install it as the solver's
     /// [`Baseline`] for subsequent warm solves. Forces a cold solve.
@@ -471,12 +434,10 @@ pub struct SolveOptions {
 }
 
 impl SolveOptions {
-    /// Exact fixed-horizon semantics (the historical
-    /// `opinions_at(t, …)` contract).
+    /// Exact fixed-horizon semantics: the opinions `B^{(horizon)}[S]`.
     pub fn exact(horizon: usize) -> SolveOptions {
         SolveOptions {
             horizon,
-            tolerance: 0.0,
             warm: false,
             record_baseline: false,
         }
@@ -493,31 +454,17 @@ impl SolveOptions {
         self.record_baseline = true;
         self
     }
-
-    /// Sets the convergence tolerance.
-    pub fn with_tolerance(mut self, eps: f64) -> SolveOptions {
-        self.tolerance = eps;
-        self
-    }
 }
 
-/// What one [`Solver::solve`] call did — the solver-level extension of
-/// [`crate::convergence::ConvergenceReport`] (which is now derived from
-/// it).
+/// What one [`Solver::solve`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveReport {
     /// Iteration steps actually executed (`≤ horizon`; early-exit and
     /// empty warm frontiers shorten).
     pub steps: usize,
-    /// Final residual: for tolerance-mode solves
-    /// `max_v |b_v^{(s)} − b_v^{(s−1)}|` of the last executed step; for
-    /// warm solves the largest final deviation from the baseline row.
-    /// Exact cold solves (`tolerance == 0`) skip residual tracking in
-    /// the hot kernel and report `0.0`.
-    pub residual: f64,
-    /// Whether the solve ended before exhausting the horizon (bitwise
-    /// fixed point, tolerance reached, or a warm frontier that died
-    /// out).
+    /// Whether the solve ended before exhausting the horizon: a cold
+    /// solve reached a bitwise fixed point, or a warm solve's final row
+    /// equals the baseline's (its frontier died out).
     pub converged: bool,
     /// Whether the warm-start path was taken.
     pub warm: bool,
@@ -552,9 +499,12 @@ impl Baseline {
         self.horizon
     }
 
-    /// Row `B^{(s)}`, clamped past a fixed point.
+    /// Row `B^{(s)}[seeds]` for any `s`: rows past the step the
+    /// recording solve stopped at (a bitwise fixed point, or the
+    /// horizon) clamp to the last stored row, which is exactly the
+    /// value every later step would reproduce.
     #[inline]
-    fn row(&self, s: usize) -> &[f64] {
+    pub fn row(&self, s: usize) -> &[f64] {
         &self.rows[s.min(self.rows.len() - 1)]
     }
 
@@ -590,7 +540,7 @@ impl Baseline {
 pub struct Solver {
     system: Arc<DiffusionSystem>,
     baseline: Option<Arc<Baseline>>,
-    // Cold-solve scratch (the historical DiffusionBuffer shape).
+    // Cold-solve scratch: the two iteration rows and the seed dedup mask.
     cur: Vec<f64>,
     next: Vec<f64>,
     is_seed: Vec<bool>,
@@ -675,10 +625,10 @@ impl Solver {
     /// [`Solver::opinions`]; the report says how the solve ran.
     ///
     /// Warm-start is taken when all of: `opts.warm`, warm start is
-    /// enabled process-wide, `opts.tolerance == 0`, no baseline
-    /// recording was requested, and the installed baseline matches
-    /// (same horizon, `baseline.seeds()` a prefix of `seeds`). The
-    /// result is bit-identical to the cold solve in every case.
+    /// enabled process-wide, no baseline recording was requested, and
+    /// the installed baseline matches (same horizon, `baseline.seeds()`
+    /// a prefix of `seeds`). The result is bit-identical to the cold
+    /// solve in every case.
     pub fn solve(&mut self, seeds: &[Node], opts: &SolveOptions) -> SolveReport {
         self.solve_metered(seeds, opts, None)
     }
@@ -697,7 +647,7 @@ impl Solver {
         opts: &SolveOptions,
         meter: Option<&CostMeter>,
     ) -> SolveReport {
-        if opts.warm && !opts.record_baseline && opts.tolerance == 0.0 && warm_start_enabled() {
+        if opts.warm && !opts.record_baseline && warm_start_enabled() {
             if let Some(base) = &self.baseline {
                 if base.horizon == opts.horizon
                     && seeds.len() >= base.seeds.len()
@@ -752,17 +702,9 @@ impl Solver {
             rows.push(self.cur.clone());
         }
         let mut steps = 0usize;
-        let mut residual = 0.0f64;
         let mut converged = false;
-        let track_residual = opts.tolerance > 0.0;
         for _ in 0..opts.horizon {
-            let bits_equal = if track_residual {
-                let (res, eq) = system.step(&self.is_seed, &self.cur, &mut self.next);
-                residual = res;
-                eq
-            } else {
-                system.step_exact(&self.seeds_sorted, &self.cur, &mut self.next)
-            };
+            let bits_equal = system.step_exact(&self.seeds_sorted, &self.cur, &mut self.next);
             std::mem::swap(&mut self.cur, &mut self.next);
             steps += 1;
             if let Some(m) = meter {
@@ -771,7 +713,7 @@ impl Solver {
             if opts.record_baseline {
                 rows.push(self.cur.clone());
             }
-            if bits_equal || (track_residual && residual < opts.tolerance) {
+            if bits_equal {
                 converged = true;
                 break;
             }
@@ -793,7 +735,6 @@ impl Solver {
         COLD_STEPS.fetch_add(steps as u64, Ordering::Relaxed);
         SolveReport {
             steps,
-            residual,
             converged,
             warm: false,
             frontier: steps * n,
@@ -982,41 +923,33 @@ impl Solver {
             for v in self.extra_marks.drain(..) {
                 self.extra[v as usize] = false;
             }
-            // Residual/convergence vs the baseline final row, matching
-            // the frontier path's materialization semantics. `self.row`
+            // Convergence vs the baseline final row, matching the
+            // frontier path's materialization semantics. `self.row`
             // stays a clean copy of the baseline final row (nothing was
             // marked dirty), so the next warm solve restores nothing.
-            let final_row = base.final_row();
-            let mut residual = 0.0f64;
-            let mut moved = false;
-            for (&x, &b) in self.cur.iter().zip(final_row) {
-                if x.to_bits() != b.to_bits() {
-                    moved = true;
-                    residual = residual.max((x - b).abs());
-                }
-            }
+            let converged = self
+                .cur
+                .iter()
+                .zip(base.final_row())
+                .all(|(x, b)| x.to_bits() == b.to_bits());
             self.last_was_warm = false;
             WARM_SOLVES.fetch_add(1, Ordering::Relaxed);
             WARM_FRONTIER_NODES.fetch_add(frontier_total as u64, Ordering::Relaxed);
             COLD_STEPS.fetch_add(dense_steps as u64, Ordering::Relaxed);
             return SolveReport {
                 steps: t,
-                residual,
-                converged: !moved,
+                converged,
                 warm: true,
                 frontier: frontier_total + dense_steps * n,
             };
         }
 
         // Materialize: final changed values override the baseline row.
-        let final_row = base.final_row();
-        let mut residual = 0.0f64;
         for &u in &frontier {
             let ui = u as usize;
             self.chg[ui] = false;
             self.row[ui] = self.val[ui];
             self.dirty.push(u);
-            residual = residual.max((self.val[ui] - final_row[ui]).abs());
         }
         let converged = frontier.is_empty();
         frontier.clear();
@@ -1031,7 +964,6 @@ impl Solver {
         WARM_FRONTIER_NODES.fetch_add(frontier_total as u64, Ordering::Relaxed);
         SolveReport {
             steps: t,
-            residual,
             converged,
             warm: true,
             frontier: frontier_total,
@@ -1108,12 +1040,8 @@ impl Drop for PooledSolver<'_> {
 }
 
 #[cfg(test)]
-// The deprecated FjEngine entry points are the independent reference
-// these equivalence tests check the solver against.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::fj::FjEngine;
     use vom_graph::builder::graph_from_edges;
 
     fn running_example() -> (SocialGraph, Vec<f64>, Vec<f64>) {
@@ -1125,18 +1053,197 @@ mod tests {
         Arc::new(DiffusionSystem::new(g, b0, d).unwrap())
     }
 
+    /// `B^(t)[seeds]` from a fresh cold solve.
+    fn cold(sys: &Arc<DiffusionSystem>, t: usize, seeds: &[Node]) -> Vec<f64> {
+        let mut solver = Solver::new(Arc::clone(sys));
+        solver.solve(seeds, &SolveOptions::exact(t));
+        solver.opinions().to_vec()
+    }
+
     #[test]
-    fn cold_solve_matches_fj_engine_bitwise() {
+    fn table1_no_seeds() {
         let (g, b0, d) = running_example();
-        let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let mut solver = Solver::new(system(&g, &b0, &d));
-        for t in 0..6 {
-            for seeds in [vec![], vec![0], vec![2], vec![0, 1]] {
-                solver.solve(&seeds, &SolveOptions::exact(t));
-                let reference = eng.opinions_at(t, &seeds);
-                assert_eq!(solver.opinions(), &reference[..], "t={t} seeds={seeds:?}");
+        let b1 = cold(&system(&g, &b0, &d), 1, &[]);
+        // Table I, row {}: 0.40, 0.80, 0.60, 0.75.
+        let expected = [0.40, 0.80, 0.60, 0.75];
+        for (got, want) in b1.iter().zip(expected) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn table1_seed_rows() {
+        let (g, b0, d) = running_example();
+        let sys = system(&g, &b0, &d);
+        let cases: [(&[Node], [f64; 4]); 5] = [
+            (&[0], [1.00, 0.80, 0.75, 0.75]),
+            (&[1], [0.40, 1.00, 0.65, 0.75]),
+            (&[2], [0.40, 0.80, 1.00, 0.95]),
+            (&[3], [0.40, 0.80, 0.60, 1.00]),
+            (&[0, 1], [1.00, 1.00, 0.80, 0.75]),
+        ];
+        for (seeds, expected) in cases {
+            let b1 = cold(&sys, 1, seeds);
+            for (v, (got, want)) in b1.iter().zip(expected).enumerate() {
+                assert!(
+                    (got - want).abs() < 1e-12,
+                    "seeds {seeds:?} node {v}: {got} vs {want}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn horizon_zero_returns_seeded_initial() {
+        let (g, b0, d) = running_example();
+        let b = cold(&system(&g, &b0, &d), 0, &[2]);
+        assert_eq!(b, vec![0.40, 0.80, 1.00, 0.90]);
+    }
+
+    #[test]
+    fn seeds_stay_pinned_across_steps() {
+        let (g, b0, d) = running_example();
+        let sys = system(&g, &b0, &d);
+        for t in 0..10 {
+            let b = cold(&sys, t, &[2]);
+            assert_eq!(b[2], 1.0, "seed must stay at 1 at t={t}");
+        }
+    }
+
+    #[test]
+    fn seed_pins_do_not_leak_between_solves() {
+        let (g, b0, d) = running_example();
+        let sys = system(&g, &b0, &d);
+        let mut solver = Solver::new(Arc::clone(&sys));
+        solver.solve(&[0], &SolveOptions::exact(3));
+        assert_eq!(solver.opinions(), &cold(&sys, 3, &[0])[..]);
+        // Seed marks must not leak into the next solve on the same solver.
+        solver.solve(&[], &SolveOptions::exact(3));
+        assert_eq!(solver.opinions(), &cold(&sys, 3, &[])[..]);
+        assert!(solver.opinions()[0] < 1.0);
+    }
+
+    #[test]
+    fn recorded_rows_equal_per_horizon_cold_solves() {
+        let (g, b0, d) = running_example();
+        let sys = system(&g, &b0, &d);
+        let mut solver = Solver::new(Arc::clone(&sys));
+        solver.solve(&[1], &SolveOptions::exact(5).recording());
+        let base = solver.baseline().unwrap();
+        for t in 0..=5 {
+            assert_eq!(base.row(t), &cold(&sys, t, &[1])[..], "mismatch at t={t}");
+        }
+    }
+
+    #[test]
+    fn opinions_remain_in_unit_interval() {
+        let (g, b0, d) = running_example();
+        let sys = system(&g, &b0, &d);
+        for t in 0..50 {
+            for b in cold(&sys, t, &[3]) {
+                assert!((0.0..=1.0).contains(&b));
+            }
+        }
+    }
+
+    #[test]
+    fn fully_stubborn_node_never_moves() {
+        let g = graph_from_edges(2, &[(0, 1, 1.0)]).unwrap();
+        let b = cold(&system(&g, &[1.0, 0.2], &[0.0, 1.0]), 20, &[]);
+        assert_eq!(b[1], 0.2);
+    }
+
+    #[test]
+    fn degroot_limit_on_path_converges_to_source() {
+        // 0 -> 1 with d = 0: node 1 adopts node 0's opinion after 1 step.
+        let g = graph_from_edges(2, &[(0, 1, 1.0)]).unwrap();
+        let b = cold(&system(&g, &[0.9, 0.1], &[0.0, 0.0]), 1, &[]);
+        assert_eq!(b, vec![0.9, 0.9]);
+    }
+
+    #[test]
+    fn degroot_averages_in_neighbors() {
+        // 0 -> 2, 1 -> 2 with equal weights and d = 0: node 2 adopts the
+        // mean.
+        let g = graph_from_edges(3, &[(0, 2, 1.0), (1, 2, 1.0)]).unwrap();
+        let b1 = cold(&system(&g, &[0.2, 0.8, 0.0], &[0.0; 3]), 1, &[]);
+        assert!((b1[2] - 0.5).abs() < 1e-12);
+        // Sources never move.
+        assert_eq!(b1[0], 0.2);
+        assert_eq!(b1[1], 0.8);
+    }
+
+    #[test]
+    fn degroot_two_cycle_swaps_opinions() {
+        // A 2-cycle swaps opinions each step under pure DeGroot (d = 0).
+        let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let sys = system(&g, &[1.0, 0.0], &[0.0, 0.0]);
+        assert_eq!(cold(&sys, 1, &[]), vec![0.0, 1.0]);
+        assert_eq!(cold(&sys, 2, &[]), vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn seeded_degroot_pins_the_seed() {
+        let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let b = cold(&system(&g, &[0.0, 0.0], &[0.0, 0.0]), 5, &[0]);
+        assert_eq!(b, vec![1.0, 1.0]);
+    }
+
+    #[test]
+    fn converges_on_running_example() {
+        let (g, b0, d) = running_example();
+        let mut solver = Solver::new(system(&g, &b0, &d));
+        let rep = solver.solve(&[], &SolveOptions::exact(500));
+        assert!(rep.converged);
+        // Fixed point of node 2: b = 0.5*0.6 + 0.5*0.6 = 0.6.
+        assert!((solver.opinions()[2] - 0.6).abs() < 1e-6);
+        // Fixed point of node 3: b = 0.5*b2 + 0.5*0.9 -> 0.75.
+        assert!((solver.opinions()[3] - 0.75).abs() < 1e-6);
+    }
+
+    #[test]
+    fn non_convergent_cycle_hits_step_budget() {
+        // Pure 2-cycle oscillates forever under DeGroot.
+        let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let mut solver = Solver::new(system(&g, &[1.0, 0.0], &[0.0, 0.0]));
+        let rep = solver.solve(&[], &SolveOptions::exact(50));
+        assert!(!rep.converged);
+        assert_eq!(rep.steps, 50);
+    }
+
+    #[test]
+    fn rejects_bad_inputs() {
+        let (g, b0, _) = running_example();
+        assert!(DiffusionSystem::new(&g, &b0, &[0.0; 3]).is_err());
+        assert!(DiffusionSystem::new(&g, &[0.0; 3], &[0.0; 4]).is_err());
+        assert!(DiffusionSystem::new(&g, &[2.0, 0.0, 0.0, 0.0], &[0.0; 4]).is_err());
+        assert!(DiffusionSystem::new(&g, &b0, &[0.0, 0.0, 0.0, -0.5]).is_err());
+    }
+
+    #[test]
+    fn from_parts_rejects_out_of_range_opinions_and_stubbornness() {
+        let (g, b0, d) = running_example();
+        let sys = DiffusionSystem::new(&g, &b0, &d).unwrap();
+        let rebuild = |b0: &[f64], d: &[f64]| {
+            let (in_off, in_src, in_w, out_off, out_tgt, has_in) = sys.parts();
+            DiffusionSystem::from_parts(
+                sys.num_nodes(),
+                in_off.to_vec().into(),
+                in_src.to_vec().into(),
+                in_w.to_vec().into(),
+                out_off.to_vec().into(),
+                out_tgt.to_vec().into(),
+                has_in.to_vec(),
+                b0.to_vec().into(),
+                d.to_vec().into(),
+            )
+        };
+        assert!(rebuild(&b0, &d).is_ok());
+        assert!(rebuild(&b0, &[0.0, 1.5, 0.5, 0.5]).is_err());
+        assert!(rebuild(&b0, &[0.0, 0.0, -0.1, 0.5]).is_err());
+        assert!(rebuild(&[f64::NAN, 0.2, 0.6, 0.9], &d).is_err());
+        assert!(rebuild(&[0.4, 0.8, 0.6, 1.1], &d).is_err());
+        assert!(rebuild(&b0, &[0.0, f64::NAN, 0.5, 0.5]).is_err());
     }
 
     #[test]
@@ -1179,32 +1286,6 @@ mod tests {
         solver.solve(&[1], &SolveOptions::exact(3).recording());
         let rep = solver.solve(&[2, 1], &SolveOptions::exact(3).warm());
         assert!(!rep.warm);
-    }
-
-    #[test]
-    fn fixed_point_early_exit_keeps_values_exact() {
-        // 0 -> 1 with full stubbornness everywhere: nothing ever moves,
-        // so the solve must stop after one step with identical values.
-        let g = graph_from_edges(2, &[(0, 1, 1.0)]).unwrap();
-        let b0 = [0.3, 0.7];
-        let d = [1.0, 1.0];
-        let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let mut solver = Solver::new(system(&g, &b0, &d));
-        let rep = solver.solve(&[], &SolveOptions::exact(50));
-        assert!(rep.converged);
-        assert!(rep.steps < 50);
-        assert_eq!(rep.residual, 0.0);
-        assert_eq!(solver.opinions(), &eng.opinions_at(50, &[])[..]);
-    }
-
-    #[test]
-    fn tolerance_stops_like_the_legacy_convergence_loop() {
-        let (g, b0, d) = running_example();
-        let mut solver = Solver::new(system(&g, &b0, &d));
-        let rep = solver.solve(&[], &SolveOptions::exact(500).with_tolerance(1e-9));
-        assert!(rep.converged);
-        assert!(rep.residual < 1e-9);
-        assert!((solver.opinions()[3] - 0.75).abs() < 1e-6);
     }
 
     #[test]

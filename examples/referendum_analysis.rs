@@ -26,8 +26,7 @@ fn main() {
 
     // How fast do opinions settle? (The reason a finite horizon matters.)
     let cand = inst.candidate(ds.default_target);
-    let engine = cand.engine();
-    let changes = change_fraction_series(&engine, &[], 10, 1.0);
+    let changes = change_fraction_series(cand.system(), &[], 10, 1.0);
     println!(
         "fraction of users changing >1% per step: {:?}",
         changes
@@ -37,7 +36,7 @@ fn main() {
     );
     println!(
         "oblivious users (diffusion may not converge): {}",
-        oblivious_nodes(&engine).len()
+        oblivious_nodes(&cand.graph, &cand.stubbornness).len()
     );
 
     // Voting-score seeds vs IMM seeds, evaluated on BOTH objectives.

@@ -69,9 +69,7 @@ fn estimated_cumulative_tracks_exact_score() {
         200_000,
         3,
     );
-    // The deprecated per-call surface is the independent reference here.
-    #[allow(deprecated)]
-    let exact: f64 = cand.engine().opinions_at(t, &[]).iter().sum();
+    let exact: f64 = ds.instance.opinions_of(0, t, &[]).iter().sum();
     let est = sketch.estimated_cumulative();
     let rel = (est - exact).abs() / exact;
     assert!(rel < 0.02, "estimate {est} vs exact {exact} ({rel:.3} rel)");
