@@ -3,8 +3,9 @@
 //! walks per seed set (Direct Generation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use vom_datasets::{twitter_mask_like, ReplicaParams};
-use vom_walks::{Lambda, OpinionEstimator, WalkGenerator};
+use vom_walks::{Lambda, WalkEstimator, WalkGenerator};
 
 fn generation(c: &mut Criterion) {
     let ds = twitter_mask_like(&ReplicaParams::at_scale(0.001, 3));
@@ -27,12 +28,12 @@ fn truncation_vs_regeneration(c: &mut Criterion) {
     let ds = twitter_mask_like(&ReplicaParams::at_scale(0.001, 3));
     let cand = ds.instance.candidate(0);
     let gen = WalkGenerator::new(&cand.graph, &cand.stubbornness, 20);
-    let arena = gen.generate_per_node(&Lambda::Uniform(150), 7);
+    let arena = Arc::new(gen.generate_per_node(&Lambda::Uniform(150), 7));
     let mut group = c.benchmark_group("seed_update");
     group.sample_size(10);
     group.bench_function("post_generation_truncation", |b| {
         b.iter_batched(
-            || OpinionEstimator::new(&arena, &cand.initial),
+            || WalkEstimator::new(Arc::clone(&arena), &cand.initial),
             |mut est| {
                 est.add_seed(3);
                 std::hint::black_box(est.estimate(0))
@@ -54,11 +55,11 @@ fn gain_scans(c: &mut Criterion) {
     let cand = ds.instance.candidate(0);
     let gen = WalkGenerator::new(&cand.graph, &cand.stubbornness, 20);
     let arena = gen.generate_per_node(&Lambda::Uniform(150), 7);
-    let est = OpinionEstimator::new(&arena, &cand.initial);
+    let est = WalkEstimator::new(Arc::new(arena), &cand.initial);
     let mut group = c.benchmark_group("greedy_scans");
     group.sample_size(10);
     group.bench_function("cumulative_gains", |b| {
-        b.iter(|| std::hint::black_box(est.cumulative_gains()))
+        b.iter(|| std::hint::black_box(est.cumulative_gains(None)))
     });
     group.bench_function("pair_deltas", |b| {
         b.iter(|| std::hint::black_box(est.pair_deltas().len()))

@@ -114,6 +114,51 @@ fn parallel_target() -> usize {
     rayon::current_num_threads().max(2)
 }
 
+/// The three workloads of the perf trajectory, all over the quick-mode
+/// sweep datasets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// Figure 6's plurality sweep (RW and RS, sandwich).
+    Fig6Quick,
+    /// The cumulative budget sweep (DM, RW and RS).
+    SweepK,
+    /// A batch of mixed plurality queries over one shared RS service
+    /// index, on the first dataset.
+    QueryThroughput,
+}
+
+impl Workload {
+    /// Every workload, in the order `BENCH_parallel.json` records them.
+    pub const ALL: [Workload; 3] = [
+        Workload::Fig6Quick,
+        Workload::SweepK,
+        Workload::QueryThroughput,
+    ];
+
+    /// The workload's `experiment` id in `BENCH_parallel.json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Workload::Fig6Quick => "fig6-quick",
+            Workload::SweepK => "sweep-k",
+            Workload::QueryThroughput => "query-throughput",
+        }
+    }
+
+    /// One pass over `datasets` at the current pool setting.
+    fn pass(self, cfg: &ExpConfig, datasets: &[Dataset]) -> Result<WorkloadPass> {
+        match self {
+            Workload::Fig6Quick => run_workload(cfg, datasets, &ScoringFunction::Plurality),
+            Workload::SweepK => run_workload(cfg, datasets, &ScoringFunction::Cumulative),
+            Workload::QueryThroughput => {
+                let ds = datasets.first().ok_or_else(|| {
+                    BenchError::InvalidConfig("no dataset for the query-throughput workload".into())
+                })?;
+                run_query_throughput(cfg, ds)
+            }
+        }
+    }
+}
+
 /// FNV-1a over the selection labels and seed ids — a stable fingerprint
 /// of "which seeds did every query pick".
 pub(crate) fn selections_digest(selections: &Selections) -> String {
@@ -378,24 +423,24 @@ pub struct IndexIoSample {
 /// (`--save-index`/`--load-index` are the user-facing way to keep them).
 fn run_index_io_probe(cfg: &ExpConfig, datasets: &[Dataset]) -> Result<IndexIoSample> {
     let dir = std::env::temp_dir().join(format!("vom-index-io-{}", std::process::id()));
-    let score = ScoringFunction::Plurality;
+    let workload = Workload::Fig6Quick;
     let outcome = (|| -> Result<IndexIoSample> {
         let save_cfg = ExpConfig {
             save_index: Some(dir.clone()),
             load_index: None,
             ..cfg.clone()
         };
-        let built = run_workload(&save_cfg, datasets, &score)?;
+        let built = workload.pass(&save_cfg, datasets)?;
         let load_cfg = ExpConfig {
             save_index: None,
             load_index: Some(dir.clone()),
             ..cfg.clone()
         };
-        let loaded = run_workload(&load_cfg, datasets, &score)?;
+        let loaded = workload.pass(&load_cfg, datasets)?;
         let index_build_s = built.prepare.as_secs_f64();
         let index_load_s = loaded.prepare.as_secs_f64();
         Ok(IndexIoSample {
-            experiment: "fig6-quick",
+            experiment: workload.name(),
             index_build_s,
             index_load_s,
             speedup: index_build_s / index_load_s.max(f64::EPSILON),
@@ -478,26 +523,15 @@ pub fn run(cfg: &ExpConfig) -> Result<PathBuf> {
     let datasets = sweep_k::datasets(&quick);
     let entry_override = rayon::thread_override();
     let threads_hi = parallel_target();
-    let workloads: [(&'static str, ScoringFunction); 2] = [
-        ("fig6-quick", ScoringFunction::Plurality),
-        ("sweep-k", ScoringFunction::Cumulative),
-    ];
 
     let mut samples: Vec<BenchSample> = Vec::new();
     let mut index_io: Option<IndexIoSample> = None;
     let outcome = (|| -> Result<()> {
-        for (experiment, score) in &workloads {
-            collect_workload(experiment, threads_hi, &mut samples, || {
-                run_workload(&quick, &datasets, score)
+        for workload in Workload::ALL {
+            collect_workload(workload.name(), threads_hi, &mut samples, || {
+                workload.pass(&quick, &datasets)
             })?;
         }
-        // The batched service workload: one shared index, N sessions.
-        let qt_dataset = datasets.first().ok_or_else(|| {
-            BenchError::InvalidConfig("no dataset for the query-throughput workload".into())
-        })?;
-        collect_workload("query-throughput", threads_hi, &mut samples, || {
-            run_query_throughput(&quick, qt_dataset)
-        })?;
         // The persistence probe: build vs load wall clock, at one
         // thread so the parallel build speedup doesn't flatter the
         // load-path ratio.
@@ -534,26 +568,21 @@ pub fn run(cfg: &ExpConfig) -> Result<PathBuf> {
     Ok(path)
 }
 
-/// Runs one pass of the `sweep-k` workload at the current pool setting
-/// and returns the selection digest — the hook the warm-start digest
-/// test uses to assert cold-only and warm-start runs pick byte-identical
-/// seeds at any thread count, without writing a JSON file.
-pub fn sweep_k_selection_digest(cfg: &ExpConfig) -> Result<String> {
-    sweep_k_pass(cfg).map(|(digest, _)| digest)
-}
-
-/// One `sweep-k` pass (honoring `cfg.save_index`/`cfg.load_index`),
-/// returning the selection digest and the query-phase solver counters.
+/// One pass of `workload` at the current pool setting (quick mode; the
+/// sweep workloads honor `cfg.save_index`/`cfg.load_index`), returning
+/// the selection digest and the query-phase solver counters — the hook
+/// the digest-pin tests use to assert byte-identical selections at any
+/// thread count (and cold vs warm-started), without writing a JSON file.
 /// Because the pass accounts all process-global counters as deltas, two
 /// passes in one process must return bitwise-equal counters — the
 /// counter-hygiene contract the persistence integration test pins.
-pub fn sweep_k_pass(cfg: &ExpConfig) -> Result<(String, SolverCounters)> {
+pub fn workload_pass(cfg: &ExpConfig, workload: Workload) -> Result<(String, SolverCounters)> {
     let quick = ExpConfig {
         quick: true,
         ..cfg.clone()
     };
     let datasets = sweep_k::datasets(&quick);
-    let pass = run_workload(&quick, &datasets, &ScoringFunction::Cumulative)?;
+    let pass = workload.pass(&quick, &datasets)?;
     Ok((selections_digest(&pass.selections), pass.solver))
 }
 

@@ -13,7 +13,7 @@
 //! Everything lives in **one** test function: the build/solver counters
 //! are process-global, so concurrent sibling tests would race them.
 
-use vom_bench::bench_parallel::sweep_k_pass;
+use vom_bench::bench_parallel::{workload_pass, Workload};
 use vom_bench::ExpConfig;
 
 #[test]
@@ -32,7 +32,7 @@ fn save_load_digests_match_counters_are_hygienic_and_corruption_falls_back() {
         save_index: Some(dir.clone()),
         ..base.clone()
     };
-    let (digest_built, _) = sweep_k_pass(&save_cfg).expect("build+save pass");
+    let (digest_built, _) = workload_pass(&save_cfg, Workload::SweepK).expect("build+save pass");
     let snapshots: Vec<_> = std::fs::read_dir(&dir)
         .expect("snapshot dir exists")
         .filter_map(|e| e.ok())
@@ -47,13 +47,15 @@ fn save_load_digests_match_counters_are_hygienic_and_corruption_falls_back() {
         load_index: Some(dir.clone()),
         ..base.clone()
     };
-    let (digest_loaded, counters_loaded) = sweep_k_pass(&load_cfg).expect("load pass");
+    let (digest_loaded, counters_loaded) =
+        workload_pass(&load_cfg, Workload::SweepK).expect("load pass");
     assert_eq!(digest_built, digest_loaded, "loaded indexes diverged");
 
     // Counter hygiene: delta accounting makes the reported query-phase
     // solver counters of identical runs bitwise equal, however many
     // runs (and however much global counter growth) preceded them.
-    let (digest_again, counters_again) = sweep_k_pass(&load_cfg).expect("second load pass");
+    let (digest_again, counters_again) =
+        workload_pass(&load_cfg, Workload::SweepK).expect("second load pass");
     assert_eq!(digest_loaded, digest_again);
     assert_eq!(
         counters_loaded, counters_again,
@@ -67,7 +69,7 @@ fn save_load_digests_match_counters_are_hygienic_and_corruption_falls_back() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
     std::fs::write(victim, &bytes).expect("snapshot writable");
-    let (digest_fallback, _) = sweep_k_pass(&load_cfg).expect("fallback pass");
+    let (digest_fallback, _) = workload_pass(&load_cfg, Workload::SweepK).expect("fallback pass");
     assert_eq!(
         digest_built, digest_fallback,
         "rebuild fallback diverged from the built selections"

@@ -12,7 +12,7 @@
 //! slow for the debug-mode test sweep. CI runs it explicitly in release
 //! (`cargo test -p vom-bench --release --test warm_start_digest -- --ignored`).
 
-use vom_bench::bench_parallel::sweep_k_selection_digest;
+use vom_bench::bench_parallel::{workload_pass, Workload};
 use vom_bench::ExpConfig;
 use vom_diffusion::set_warm_start_enabled;
 
@@ -28,7 +28,7 @@ fn sweep_k_digest_is_identical_cold_vs_warm_across_widths() {
     for (warm, threads) in [(true, 1), (true, 2), (true, 8), (false, 1)] {
         set_warm_start_enabled(warm);
         rayon::set_thread_override(Some(threads));
-        let digest = sweep_k_selection_digest(&cfg).expect("sweep-k pass runs");
+        let (digest, _) = workload_pass(&cfg, Workload::SweepK).expect("sweep-k pass runs");
         digests.push((format!("warm={warm}/threads={threads}"), digest));
     }
     set_warm_start_enabled(true);

@@ -91,7 +91,7 @@ use vom_diffusion::{DiffusionSystem, OpinionMatrix, SolverCounters, SolverPool};
 use vom_graph::{Candidate, Node};
 use vom_sketch::SketchSet;
 use vom_voting::{RankIndex, ScoringFunction};
-use vom_walks::{OpinionEstimator, WalkArena};
+use vom_walks::{WalkArena, WalkEstimator};
 
 /// The three proposed selection engines behind the prepared lifecycle
 /// (§VIII compares them as DM, RW, RS).
@@ -406,16 +406,16 @@ pub trait IndexBackend: Send + Sync {
 }
 
 /// Reusable per-session buffers the query paths fill on every select:
-/// the sandwich lower-bound mask, the RS working sketch, and DM's solver
-/// pool. Contents are pure scratch — they never influence results, only
-/// allocation traffic — so a fresh default scratch and a warm one answer
-/// queries identically.
+/// the sandwich lower-bound mask, the RS working estimator, and DM's
+/// solver pool. Contents are pure scratch — they never influence
+/// results, only allocation traffic — so a fresh default scratch and a
+/// warm one answer queries identically.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
     /// Favorable-user mask for the sandwich lower bound.
     mask_lower: Vec<bool>,
-    /// RS working sketch from the previous query, keyed by its θ.
-    rs_sketch: Option<(usize, SketchSet)>,
+    /// RS working estimator from the previous query.
+    rs_estimator: Option<WalkEstimator>,
     /// Pooled exact-diffusion solvers (iteration buffers + warm-start
     /// baselines), reused across DM's `(k, trial)` loop and across
     /// queries on the same session.
@@ -423,22 +423,22 @@ pub struct SessionScratch {
 }
 
 impl SessionScratch {
-    /// A working copy of `pristine` (a sketch with θ sketches and no
-    /// query seeds), reusing the previous query's buffers when the θ
-    /// matches. Pair with [`SessionScratch::return_sketch`].
-    pub fn checkout_sketch(&mut self, theta: usize, pristine: &SketchSet) -> SketchSet {
-        match self.rs_sketch.take() {
-            Some((t, mut sketch)) if t == theta => {
-                sketch.clone_from(pristine);
-                sketch
+    /// A seedless working estimator over `sketches`, reusing the
+    /// previous query's buffers. Pair with
+    /// [`SessionScratch::return_estimator`].
+    pub fn checkout_estimator(&mut self, sketches: &SketchSet) -> WalkEstimator {
+        match self.rs_estimator.take() {
+            Some(mut est) => {
+                sketches.reset_estimator(&mut est);
+                est
             }
-            _ => pristine.clone(),
+            None => sketches.estimator(),
         }
     }
 
-    /// Stores a used working sketch for the next checkout.
-    pub fn return_sketch(&mut self, theta: usize, sketch: SketchSet) {
-        self.rs_sketch = Some((theta, sketch));
+    /// Stores a used working estimator for the next checkout.
+    pub fn return_estimator(&mut self, est: WalkEstimator) {
+        self.rs_estimator = Some(est);
     }
 }
 
@@ -1169,7 +1169,7 @@ pub(crate) struct RwIndex {
     /// `RwConfig::gamma_pilot` to decouple artifacts from the budget).
     pub(crate) budget: usize,
     pub(crate) gammas: OnceLock<Vec<f64>>,
-    pub(crate) arenas: [OnceLock<WalkArena>; 3],
+    pub(crate) arenas: [OnceLock<Arc<WalkArena>>; 3],
     pub(crate) builds: AtomicUsize,
 }
 
@@ -1186,7 +1186,11 @@ impl RwIndex {
         backend
     }
 
-    fn ensure_arena(&self, problem: &Problem<'_>, others: Option<&OpinionMatrix>) -> &WalkArena {
+    fn ensure_arena(
+        &self,
+        problem: &Problem<'_>,
+        others: Option<&OpinionMatrix>,
+    ) -> &Arc<WalkArena> {
         let class = RuleClass::of(&problem.score);
         self.arenas[class as usize].get_or_init(|| {
             let arena = match class {
@@ -1205,13 +1209,13 @@ impl RwIndex {
                 }
             };
             self.builds.fetch_add(1, Ordering::Relaxed);
-            arena
+            Arc::new(arena)
         })
     }
 
-    fn estimator<'s>(&self, arena: &'s WalkArena, problem: &Problem<'s>) -> OpinionEstimator<'s> {
+    fn estimator(&self, arena: &Arc<WalkArena>, problem: &Problem<'_>) -> WalkEstimator {
         let cand = problem.instance.candidate(problem.target);
-        let mut est = OpinionEstimator::new(arena, &cand.initial);
+        let mut est = WalkEstimator::new(Arc::clone(arena), &cand.initial);
         for &s in &cand.fixed_seeds {
             est.add_seed(s);
         }
@@ -1319,16 +1323,26 @@ impl RsIndex {
             .get_or_init(|| crate::rs::choose_theta(&problem.with_budget(self.budget), &self.cfg))
     }
 
-    fn ensure_sketch(&self, problem: &Problem<'_>) -> (usize, Arc<SketchSet>) {
+    fn ensure_sketch(&self, problem: &Problem<'_>) -> Arc<SketchSet> {
         let theta = self.theta_for(problem);
         let mut sketches = self.sketches.lock().expect("sketch cache lock");
         if let Some((_, sketch)) = sketches.iter().find(|(t, _)| *t == theta) {
-            return (theta, Arc::clone(sketch));
+            return Arc::clone(sketch);
         }
         let sketch = Arc::new(sketch_theta(problem, &self.cfg, theta));
         self.builds.fetch_add(1, Ordering::Relaxed);
         sketches.push((theta, Arc::clone(&sketch)));
-        (theta, sketch)
+        sketch
+    }
+
+    /// The session's working estimator, reset to `problem`'s sketches
+    /// with the target's fixed seeds applied.
+    fn estimator(&self, problem: &Problem<'_>, scratch: &mut SessionScratch) -> WalkEstimator {
+        let mut est = scratch.checkout_estimator(&self.ensure_sketch(problem));
+        for &s in &problem.instance.candidate(problem.target).fixed_seeds {
+            est.add_seed(s);
+        }
+        est
     }
 }
 
@@ -1353,21 +1367,16 @@ impl IndexBackend for RsIndex {
         scratch: &mut SessionScratch,
         meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
-        let (theta, pristine) = self.ensure_sketch(problem);
-        let cand = problem.instance.candidate(problem.target);
-        let mut sketch = scratch.checkout_sketch(theta, &pristine);
-        for &s in &cand.fixed_seeds {
-            sketch.add_seed(s);
-        }
+        let mut est = self.estimator(problem, scratch);
         let seeds = crate::greedy::greedy_on_estimate(
-            &mut sketch,
+            &mut est,
             problem.k,
             &problem.score,
             comp,
             problem.target,
             meter,
         );
-        scratch.return_sketch(theta, sketch);
+        scratch.return_estimator(est);
         Ok(seeds)
     }
 
@@ -1378,14 +1387,9 @@ impl IndexBackend for RsIndex {
         _comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
     ) -> Result<Vec<Node>> {
-        let (theta, pristine) = self.ensure_sketch(problem);
-        let cand = problem.instance.candidate(problem.target);
-        let mut sketch = scratch.checkout_sketch(theta, &pristine);
-        for &s in &cand.fixed_seeds {
-            sketch.add_seed(s);
-        }
-        let seeds = crate::greedy::greedy_masked_cumulative(&mut sketch, problem.k, mask);
-        scratch.return_sketch(theta, sketch);
+        let mut est = self.estimator(problem, scratch);
+        let seeds = crate::greedy::greedy_masked_cumulative(&mut est, problem.k, mask);
+        scratch.return_estimator(est);
         Ok(seeds)
     }
 

@@ -1,6 +1,7 @@
 //! The estimate-driven greedy loop (Algorithms 4 and 5, lines 4–8),
-//! shared by the RW and RS selectors, plus exact scoring helpers shared
-//! with DM.
+//! shared by the RW and RS selectors — both run it on one
+//! [`WalkEstimator`], over a per-node walk arena or a sampled sketch
+//! set — plus exact scoring helpers shared with DM.
 //!
 //! # The incremental scoring engine
 //!
@@ -17,8 +18,8 @@
 //!   estimator's changed-users delta report are refreshed (`O(Δ·log r)`
 //!   instead of `O(n·r)`);
 //! * candidate gains are evaluated per candidate from the truncation's
-//!   occurrence index ([`OpinionEstimate::for_candidate_deltas`],
-//!   [`OpinionEstimate::cumulative_gain_of`]) — no more whole-arena
+//!   occurrence index ([`WalkEstimator::for_candidate_deltas_cum`],
+//!   [`WalkEstimator::cumulative_gain_of`]) — no more whole-arena
 //!   prefix rescans, sorts, or delta-list materialization per
 //!   iteration;
 //! * the submodular cumulative objectives run a lazy (CELF-style)
@@ -33,14 +34,13 @@
 //! are non-negative and seeds only remove them; an IEEE left-to-right
 //! sum of non-negative terms is monotone under subset removal).
 
-use crate::estimate::OpinionEstimate;
 use crate::phases::{self, CostMeter, Phase};
 use std::time::{Duration, Instant};
 use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node};
 use vom_voting::rank::beta_with_target;
 use vom_voting::{PositionalAccumulator, RankIndex, ScoringFunction};
-use vom_walks::DeltaScratch;
+use vom_walks::{DeltaScratch, WalkEstimator};
 
 /// The competitor-opinion artifacts a competitive-score greedy consumes:
 /// the exact non-target opinion matrix and its rank index. Built once
@@ -121,8 +121,8 @@ pub fn score_with_target_row(
 /// seeds one iteration at a time against state that evolves through the
 /// same deterministic sequence, so stopping between iterations cannot
 /// change the seeds already chosen.
-pub fn greedy_on_estimate<E: OpinionEstimate>(
-    est: &mut E,
+pub fn greedy_on_estimate(
+    est: &mut WalkEstimator,
     k: usize,
     score: &ScoringFunction,
     comp: Option<Competitors<'_>>,
@@ -130,9 +130,7 @@ pub fn greedy_on_estimate<E: OpinionEstimate>(
     meter: Option<&CostMeter>,
 ) -> Vec<Node> {
     match score {
-        ScoringFunction::Cumulative => {
-            lazy_greedy_fill(est, k, meter, |est, w| est.cumulative_gain_of(w))
-        }
+        ScoringFunction::Cumulative => lazy_greedy_fill(est, k, None, meter),
         ScoringFunction::Plurality
         | ScoringFunction::PApproval { .. }
         | ScoringFunction::PositionalPApproval { .. } => {
@@ -152,15 +150,12 @@ pub fn greedy_on_estimate<E: OpinionEstimate>(
 /// `None` means every user: the plain estimated-cumulative greedy (the
 /// sandwich's cumulative feasible solution), which adds the same terms in
 /// the same order as an all-true mask would.
-pub fn greedy_masked_cumulative<E: OpinionEstimate>(
-    est: &mut E,
+pub fn greedy_masked_cumulative(
+    est: &mut WalkEstimator,
     k: usize,
     mask: Option<&[bool]>,
 ) -> Vec<Node> {
-    lazy_greedy_fill(est, k, None, |est, w| match mask {
-        Some(mask) => est.cumulative_gain_of_masked(w, mask),
-        None => est.cumulative_gain_of(w),
-    })
+    lazy_greedy_fill(est, k, mask, None)
 }
 
 // ---------------------------------------------------------------------
@@ -174,11 +169,11 @@ pub fn greedy_masked_cumulative<E: OpinionEstimate>(
 /// produced, since truncation gains never increase and a stale heap
 /// entry therefore always upper-bounds the fresh gain). The heap loop
 /// itself is [`crate::celf::lazy_greedy`], shared with DM's exact CELF.
-fn lazy_greedy_fill<E: OpinionEstimate>(
-    est: &mut E,
+fn lazy_greedy_fill(
+    est: &mut WalkEstimator,
     k: usize,
+    mask: Option<&[bool]>,
     meter: Option<&CostMeter>,
-    gain_of: impl Fn(&E, Node) -> f64,
 ) -> Vec<Node> {
     // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
     let started = Instant::now();
@@ -193,7 +188,7 @@ fn lazy_greedy_fill<E: OpinionEstimate>(
         k,
         false,
         meter,
-        |v| gain_of(&cell.borrow(), v),
+        |v| cell.borrow().cumulative_gain_of(v, mask),
         |v| {
             // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
             let t = Instant::now();
@@ -221,8 +216,8 @@ pub(crate) struct RankState {
 impl RankState {
     /// Builds the state from the estimator's current per-user estimates
     /// (`O(n·log r)`, once per greedy run).
-    pub(crate) fn init<E: OpinionEstimate>(
-        est: &E,
+    pub(crate) fn init(
+        est: &WalkEstimator,
         score: &ScoringFunction,
         index: &RankIndex,
     ) -> RankState {
@@ -244,9 +239,9 @@ impl RankState {
 
     /// Re-reads the listed users' estimates from the estimator
     /// (`O(Δ·log r)`), after a seed commit.
-    pub(crate) fn refresh<E: OpinionEstimate>(
+    pub(crate) fn refresh(
         &mut self,
-        est: &E,
+        est: &WalkEstimator,
         index: &RankIndex,
         users: impl Iterator<Item = Node>,
     ) {
@@ -265,9 +260,9 @@ impl RankState {
     /// pass over `w`'s occurrences: the merged per-user deltas are
     /// applied against the accumulator, re-ranking only the affected
     /// users (`O(Δ_w·log r)`).
-    pub(crate) fn gain_and_cum<E: OpinionEstimate>(
+    pub(crate) fn gain_and_cum(
         &mut self,
-        est: &E,
+        est: &WalkEstimator,
         index: &RankIndex,
         w: Node,
     ) -> (f64, f64) {
@@ -289,8 +284,8 @@ impl RankState {
 /// moving opinions toward the target helps later iterations and the true
 /// objective) — computed in the same single occurrence pass as the rank
 /// gain, which is what makes carrying it for every candidate cheap.
-fn rank_greedy<E: OpinionEstimate>(
-    est: &mut E,
+fn rank_greedy(
+    est: &mut WalkEstimator,
     k: usize,
     score: &ScoringFunction,
     index: &RankIndex,
@@ -356,8 +351,8 @@ fn rank_greedy<E: OpinionEstimate>(
 /// duels — near a majority tie the discrete win count is a coin flip on
 /// estimates, but the margin still points at the seed that moves the
 /// most users past their duel thresholds.
-fn copeland_greedy<E: OpinionEstimate>(
-    est: &mut E,
+fn copeland_greedy(
+    est: &mut WalkEstimator,
     k: usize,
     others: &OpinionMatrix,
     q: Candidate,
@@ -426,7 +421,7 @@ fn copeland_greedy<E: OpinionEstimate>(
             }
             scanned += 1;
             net_change.iter_mut().for_each(|c| *c = 0.0);
-            est.for_candidate_deltas(w, &mut scratch, |user, delta| {
+            est.for_candidate_deltas_cum(w, &mut scratch, |user, delta| {
                 let v = user as usize;
                 if sampled[v] {
                     let uw = weight[v];
@@ -477,11 +472,7 @@ fn copeland_greedy<E: OpinionEstimate>(
 /// Argmax over non-seed nodes, with an optional secondary criterion for
 /// ties; remaining ties go to the smaller id. Returns `None` only when
 /// every node is already a seed.
-fn argmax_non_seed<E: OpinionEstimate>(
-    est: &E,
-    gains: &[f64],
-    secondary: Option<&[f64]>,
-) -> Option<Node> {
+fn argmax_non_seed(est: &WalkEstimator, gains: &[f64], secondary: Option<&[f64]>) -> Option<Node> {
     let mut best: Option<(Node, f64, f64)> = None;
     for (v, &g) in gains.iter().enumerate() {
         let v = v as Node;
@@ -514,8 +505,9 @@ fn sign_contribution(b: f64, bx: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use vom_graph::builder::graph_from_edges;
-    use vom_walks::{Lambda, OpinionEstimator, WalkGenerator};
+    use vom_walks::{Lambda, WalkGenerator};
 
     fn running_example() -> (vom_graph::SocialGraph, Vec<f64>, Vec<f64>, OpinionMatrix) {
         let g = graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap();
@@ -555,8 +547,8 @@ mod tests {
         // Table I: seed {1} (our node 0) maximizes the cumulative score.
         let (g, b0, d, _) = running_example();
         let gen = WalkGenerator::new(&g, &d, 1);
-        let arena = gen.generate_per_node(&Lambda::Uniform(20_000), 7);
-        let mut est = OpinionEstimator::new(&arena, &b0);
+        let arena = Arc::new(gen.generate_per_node(&Lambda::Uniform(20_000), 7));
+        let mut est = WalkEstimator::new(Arc::clone(&arena), &b0);
         let seeds = greedy_on_estimate(&mut est, 1, &ScoringFunction::Cumulative, None, 0, None);
         assert_eq!(seeds, vec![0]);
     }
@@ -566,8 +558,8 @@ mod tests {
         // Table I: seed {3} (our node 2) maximizes the plurality score (4).
         let (g, b0, d, others) = running_example();
         let gen = WalkGenerator::new(&g, &d, 1);
-        let arena = gen.generate_per_node(&Lambda::Uniform(20_000), 11);
-        let mut est = OpinionEstimator::new(&arena, &b0);
+        let arena = Arc::new(gen.generate_per_node(&Lambda::Uniform(20_000), 11));
+        let mut est = WalkEstimator::new(Arc::clone(&arena), &b0);
         let (ranks, _) = competitors(&others);
         let comp = Competitors {
             matrix: &others,
@@ -589,8 +581,8 @@ mod tests {
         // Table I: Copeland becomes 1 with seed node 2 or 3.
         let (g, b0, d, others) = running_example();
         let gen = WalkGenerator::new(&g, &d, 1);
-        let arena = gen.generate_per_node(&Lambda::Uniform(20_000), 13);
-        let mut est = OpinionEstimator::new(&arena, &b0);
+        let arena = Arc::new(gen.generate_per_node(&Lambda::Uniform(20_000), 13));
+        let mut est = WalkEstimator::new(Arc::clone(&arena), &b0);
         let (ranks, _) = competitors(&others);
         let comp = Competitors {
             matrix: &others,
@@ -607,8 +599,8 @@ mod tests {
         let (g, _, d, _) = running_example();
         let b0 = vec![1.0; 4]; // nothing can improve
         let gen = WalkGenerator::new(&g, &d, 1);
-        let arena = gen.generate_per_node(&Lambda::Uniform(100), 17);
-        let mut est = OpinionEstimator::new(&arena, &b0);
+        let arena = Arc::new(gen.generate_per_node(&Lambda::Uniform(100), 17));
+        let mut est = WalkEstimator::new(Arc::clone(&arena), &b0);
         let seeds = greedy_on_estimate(&mut est, 2, &ScoringFunction::Cumulative, None, 0, None);
         assert_eq!(seeds.len(), 2);
         assert_eq!(seeds, vec![0, 1], "deterministic smallest-id fill");
@@ -618,11 +610,11 @@ mod tests {
     fn masked_greedy_fills_like_the_plain_one() {
         let (g, b0, d, _) = running_example();
         let gen = WalkGenerator::new(&g, &d, 2);
-        let arena = gen.generate_per_node(&Lambda::Uniform(500), 29);
+        let arena = Arc::new(gen.generate_per_node(&Lambda::Uniform(500), 29));
         // All-users mask: the masked greedy must equal the plain one.
         let mask = vec![true; 4];
-        let mut est_a = OpinionEstimator::new(&arena, &b0);
-        let mut est_b = OpinionEstimator::new(&arena, &b0);
+        let mut est_a = WalkEstimator::new(Arc::clone(&arena), &b0);
+        let mut est_b = WalkEstimator::new(Arc::clone(&arena), &b0);
         let a = greedy_masked_cumulative(&mut est_a, 3, Some(&mask));
         let b = greedy_on_estimate(&mut est_b, 3, &ScoringFunction::Cumulative, None, 0, None);
         assert_eq!(a, b);
@@ -634,17 +626,17 @@ mod tests {
         // plurality (paper's 1-indexed users; ours are 1 and 0).
         let (g, b0, d, others) = running_example();
         let gen = WalkGenerator::new(&g, &d, 1);
-        let arena = gen.generate_per_node(&Lambda::Uniform(30_000), 19);
+        let arena = Arc::new(gen.generate_per_node(&Lambda::Uniform(30_000), 19));
         let score = ScoringFunction::Plurality;
         let index = RankIndex::build(&others, 0);
 
         // Gain of node 1 on the empty set: 0.
-        let est0 = OpinionEstimator::new(&arena, &b0);
+        let est0 = WalkEstimator::new(Arc::clone(&arena), &b0);
         let mut state0 = RankState::init(&est0, &score, &index);
         assert_eq!(state0.gain_and_cum(&est0, &index, 1).0, 0.0);
 
         // Gain of node 1 once node 0 is seeded: 1 (user 2 flips).
-        let mut est1 = OpinionEstimator::new(&arena, &b0);
+        let mut est1 = WalkEstimator::new(Arc::clone(&arena), &b0);
         est1.add_seed(0);
         let mut state1 = RankState::init(&est1, &score, &index);
         let g1 = state1.gain_and_cum(&est1, &index, 1).0;
@@ -657,18 +649,18 @@ mod tests {
     fn rank_greedy_matches_full_rescan_reference() {
         let (g, b0, d, others) = running_example();
         let gen = WalkGenerator::new(&g, &d, 2);
-        let arena = gen.generate_per_node(&Lambda::Uniform(700), 23);
+        let arena = Arc::new(gen.generate_per_node(&Lambda::Uniform(700), 23));
         let score = ScoringFunction::PApproval { p: 2 };
         let index = RankIndex::build(&others, 0);
 
         // Reference: full rescan of the estimated score per candidate.
-        let mut ref_est = OpinionEstimator::new(&arena, &b0);
+        let mut ref_est = WalkEstimator::new(Arc::clone(&arena), &b0);
         let mut ref_seeds = Vec::new();
         for _ in 0..3 {
-            let estimated = |est: &OpinionEstimator<'_>| -> f64 {
+            let estimated = |est: &WalkEstimator| -> f64 {
                 (0..4u32)
                     .map(|v| {
-                        let rank = beta_with_target(&others, 0, v, est.estimate(v));
+                        let rank = beta_with_target(&others, 0, v, est.estimate(v).unwrap());
                         if rank <= 2 {
                             score.position_weight(rank)
                         } else {
@@ -702,7 +694,7 @@ mod tests {
             ref_seeds.push(w);
         }
 
-        let mut est = OpinionEstimator::new(&arena, &b0);
+        let mut est = WalkEstimator::new(Arc::clone(&arena), &b0);
         let comp = Competitors {
             matrix: &others,
             ranks: &index,

@@ -40,7 +40,6 @@ pub mod dm;
 pub mod dm_ext;
 pub mod engine;
 pub mod error;
-pub mod estimate;
 pub mod greedy;
 pub mod persist;
 pub mod phases;

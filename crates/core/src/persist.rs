@@ -628,7 +628,13 @@ fn load_rw(snap: &Snapshot, n: usize) -> Result<RwIndex> {
                 class as u64,
                 n,
             )?;
-            let _ = cell.set(arena);
+            if arena.num_groups() != Some(n) {
+                return Err(PersistError::BadValue {
+                    what: "walk arena",
+                    detail: format!("rw arena {class} must hold one start group per node"),
+                });
+            }
+            let _ = cell.set(Arc::new(arena));
             loaded += 1;
         }
     }
@@ -932,6 +938,48 @@ mod tests {
         let fresh = Arc::new(Engine::rw_default().prepare_spec(spec).unwrap());
         let want = PreparedIndex::session(&fresh).select(&q).unwrap();
         assert_eq!(want.seeds, got.seeds);
+    }
+
+    #[test]
+    fn load_rejects_rw_walks_filed_under_another_start() {
+        // Swap the start nodes of the first walks of groups 0 and 3 in a
+        // saved RW arena and re-seal the payload digest: the digests are
+        // valid, but the walks no longer start at their group's node.
+        let inst = Arc::new(instance());
+        let spec =
+            ProblemSpec::new(Arc::clone(&inst), 0, 1, 1, ScoringFunction::Cumulative).unwrap();
+        let built = Engine::rw_default().prepare_spec(spec).unwrap();
+        let mut bytes = snapshot_writer(&built).unwrap().to_bytes();
+        let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let n_sections = word(&bytes, 48) as usize;
+        let section = |b: &[u8], kind: u32| {
+            (0..n_sections)
+                .map(|i| vom_persist::HEADER_BYTES + i * vom_persist::ENTRY_BYTES)
+                .find(|&at| word(b, at) == u64::from(kind))
+                .map(|at| (word(b, at + 16) as usize, word(b, at + 24) as usize))
+                .expect("rw arena section")
+        };
+        let (nodes_at, _) = section(&bytes, kind::ARENA_NODES);
+        let (offsets_at, _) = section(&bytes, kind::ARENA_OFFSETS);
+        let (groups_at, _) = section(&bytes, kind::ARENA_GROUPS);
+        let first_walk_of = |b: &[u8], v: usize| word(b, groups_at + 8 * v) as usize;
+        let (a, z) = (first_walk_of(&bytes, 0), first_walk_of(&bytes, 3));
+        assert!(a < first_walk_of(&bytes, 1) && z < first_walk_of(&bytes, 4));
+        let start_at = |j: usize| nodes_at + 4 * word(&bytes, offsets_at + 8 * j) as usize;
+        let (sa, sz) = (start_at(a), start_at(z));
+        for (at, v) in [(sa, 3u32), (sz, 0u32)] {
+            bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        let digest = vom_persist::fnv1a(&bytes[vom_persist::HEADER_BYTES..]);
+        bytes[16..24].copy_from_slice(&digest.to_le_bytes());
+        let snap = Snapshot::from_bytes(bytes, LoadMode::Copy).unwrap();
+        assert!(matches!(
+            err_of(load_snapshot(inst, &snap)),
+            PersistError::BadValue {
+                what: "walk arena",
+                ..
+            }
+        ));
     }
 
     #[test]

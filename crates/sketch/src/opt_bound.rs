@@ -10,16 +10,22 @@
 use crate::sketch::SketchSet;
 use crate::theta::ln_choose;
 use vom_graph::{Node, SocialGraph};
+use vom_walks::WalkEstimator;
 
-/// Greedy cumulative-score seed selection directly on a sketch set:
-/// repeatedly add the node with the largest estimated marginal gain.
-/// Returns the seeds in selection order (the sketch set keeps them
-/// applied). This is the inner loop of both the OPT test and the RS
-/// selector in `vom-core`.
-pub fn greedy_cumulative(sketch: &mut SketchSet, k: usize) -> Vec<Node> {
+/// Greedy cumulative-score seed selection directly on a sketch
+/// estimator: repeatedly add the node with the largest estimated marginal
+/// gain, from a full rescan per iteration. Returns the seeds in selection
+/// order (the estimator keeps them applied). This is the inner loop of
+/// the OPT test only — the RS selector runs `vom-core`'s CELF greedy.
+///
+/// The argmax is `Iterator::max_by`, so equal gains go to the **largest**
+/// node id, unlike `vom-core`'s greedies (smallest id). The quirk is
+/// kept: the OPT bound sets RS's cumulative θ, and the pinned selection
+/// digests depend on it.
+pub fn greedy_cumulative(sketch: &mut WalkEstimator, k: usize) -> Vec<Node> {
     let mut seeds = Vec::with_capacity(k);
     for _ in 0..k {
-        let gains = sketch.cumulative_gains();
+        let gains = sketch.cumulative_gains(None);
         let best = gains
             .iter()
             .enumerate()
@@ -94,7 +100,8 @@ pub fn opt_lower_bound(
             t,
             theta,
             cfg.seed.wrapping_add(round),
-        );
+        )
+        .estimator();
         greedy_cumulative(&mut sketch, k);
         let est = sketch.estimated_cumulative();
         if est >= (1.0 + eps_prime) * x {
@@ -120,8 +127,8 @@ mod tests {
         let g = graph_from_edges(50, &edges).unwrap();
         let d = vec![0.3; 50];
         let b0 = vec![0.0; 50];
-        let mut s = SketchSet::generate(&g, &d, &b0, 5, 20_000, 3);
-        let seeds = greedy_cumulative(&mut s, 1);
+        let s = SketchSet::generate(&g, &d, &b0, 5, 20_000, 3);
+        let seeds = greedy_cumulative(&mut s.estimator(), 1);
         assert_eq!(seeds, vec![0], "the hub dominates every other choice");
     }
 

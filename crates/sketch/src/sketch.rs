@@ -2,63 +2,39 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::sync::Arc;
 use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node, SocialGraph};
 use vom_voting::rank::beta_with_target;
 use vom_voting::ScoringFunction;
-use vom_walks::estimator::{DeltaScratch, PairDelta};
-use vom_walks::{Truncation, WalkArena, WalkGenerator};
+use vom_walks::{pooled_end_values, Truncation, WalkArena, WalkEstimator, WalkGenerator};
 
-/// θ reverse random walks from uniformly sampled starts, with incremental
-/// seed truncation (Algorithm 5 state).
+/// θ reverse random walks from uniformly sampled starts (Algorithm 5's
+/// sketches), with their seedless truncation state and pooled end
+/// values — the immutable data an RS index caches and persists.
 ///
 /// Because start nodes are sampled with replacement, a node can head
 /// several sketches; per the paper's §VI-B (footnote 6) all walks sharing
 /// a start are **pooled** into one estimate `b̂_qv[S]`, and each of the θ
 /// samples contributes through its start's pooled estimate. Pooling is
 /// what makes the rank-based estimates (Eqs. 42/47) consistent — a
-/// single-walk estimate of a rank indicator is biased.
-/// Cloning shares the immutable walk arena (`Arc`) and copies only the
-/// `O(θ + n)` truncation/pooling state, so prepared engines can hand out
-/// a fresh sketch per query cheaply.
+/// single-walk estimate of a rank indicator is biased. Queries run on a
+/// [`WalkEstimator`] working copy ([`SketchSet::estimator`]), which
+/// shares the immutable walk arena (`Arc`), copies the `O(θ + n)`
+/// truncation state and re-derives the pooled arrays in the same pass
+/// that fills its per-walk gains.
 #[derive(Debug)]
 pub struct SketchSet {
     arena: Arc<WalkArena>,
     trunc: Truncation,
     b0: Vec<f64>,
-    n: usize,
-    /// Per start node: sum of current end values over its sketches.
+    /// Per start node: sum of seedless end values over its sketches.
+    /// Persisted (and counted in the heap footprint) as the `.vpi`
+    /// format has always held it; working estimators re-derive it.
     start_sum: Vec<f64>,
-    /// Per start node: number of sketches started there.
+    /// Per start node: number of sketches started there (persisted like
+    /// `start_sum`, and checked against the starts on load).
     start_count: Vec<u32>,
-}
-
-/// Manual impl so `clone_from` reuses the target's allocations: a query
-/// session that resets its working sketch from the prepared pristine
-/// copy re-fills the existing `O(θ + n)` buffers instead of allocating
-/// fresh ones per query.
-impl Clone for SketchSet {
-    fn clone(&self) -> Self {
-        SketchSet {
-            arena: Arc::clone(&self.arena),
-            trunc: self.trunc.clone(),
-            b0: self.b0.clone(),
-            n: self.n,
-            start_sum: self.start_sum.clone(),
-            start_count: self.start_count.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.arena = Arc::clone(&source.arena);
-        self.trunc.clone_from(&source.trunc);
-        self.b0.clone_from(&source.b0);
-        self.n = source.n;
-        self.start_sum.clone_from(&source.start_sum);
-        self.start_count.clone_from(&source.start_count);
-    }
 }
 
 impl SketchSet {
@@ -79,26 +55,11 @@ impl SketchSet {
         let gen = WalkGenerator::new(graph, stubbornness, t);
         let arena = gen.generate_for_starts(&starts, seed.wrapping_add(1));
         let trunc = Truncation::new(&arena, n);
-        // End values are independent per sketch, so they run on the
-        // pool; the pooled accumulation folds sequentially in sketch
-        // order, keeping the float sums schedule-independent (the
-        // determinism contract — see `vendor/rayon`'s crate docs).
-        let end_values: Vec<f64> = (0..arena.num_walks())
-            .into_par_iter()
-            .map(|j| trunc.end_value(&arena, b0_target, j))
-            .collect();
-        let mut start_sum = vec![0.0f64; n];
-        let mut start_count = vec![0u32; n];
-        for (j, &end) in end_values.iter().enumerate() {
-            let v = arena.start(j) as usize;
-            start_sum[v] += end;
-            start_count[v] += 1;
-        }
+        let (start_sum, start_count) = pooled_end_values(&arena, &trunc, b0_target);
         SketchSet {
             arena: Arc::new(arena),
             trunc,
             b0: b0_target.to_vec(),
-            n,
             start_sum,
             start_count,
         }
@@ -106,9 +67,10 @@ impl SketchSet {
 
     /// Reassembles a *pristine* (seedless) sketch set from persisted
     /// parts: the shared walk arena, its truncation state, and the pooled
-    /// end-value arrays (snapshot load). Shapes are validated against the
-    /// arena; the pooled values themselves are whatever the generation
-    /// produced and are restored bit-for-bit.
+    /// end-value arrays (snapshot load). Shapes, the sampled layout,
+    /// `b0 ∈ [0, 1]` and the per-start counts are validated against the
+    /// arena; the pooled sums are restored bit-for-bit (queries do not
+    /// read them: each working estimator re-derives them).
     pub fn from_parts(
         arena: Arc<WalkArena>,
         trunc: Truncation,
@@ -123,14 +85,27 @@ impl SketchSet {
         if !trunc.seeds().is_empty() {
             return Err("a persisted sketch set must be pristine");
         }
+        if arena.has_groups() {
+            return Err("sketch starts are sampled, not grouped");
+        }
         if arena.walks().any(|w| w.iter().any(|&v| (v as usize) >= n)) {
             return Err("sketch walk node out of range");
+        }
+        // `contains` is false for NaN, so this rejects it too.
+        if !b0.iter().all(|b| (0.0..=1.0).contains(b)) {
+            return Err("initial opinions must lie in [0, 1]");
+        }
+        let mut histogram = vec![0u32; n];
+        for j in 0..arena.num_walks() {
+            histogram[arena.start(j) as usize] += 1;
+        }
+        if histogram != start_count {
+            return Err("start counts disagree with the sketch starts");
         }
         Ok(SketchSet {
             arena,
             trunc,
             b0,
-            n,
             start_sum,
             start_count,
         })
@@ -139,7 +114,7 @@ impl SketchSet {
     /// The persisted pieces: the shared arena, the truncation, and the
     /// pooled arrays `(b0, start_sum, start_count)` — exactly the
     /// buffers a snapshot writer serializes verbatim. (Per-sketch gains
-    /// are not stored: `1 − end_value` is derived from the truncation.)
+    /// are not stored: each query's estimator derives them.)
     pub fn parts(&self) -> (&Arc<WalkArena>, &Truncation, &[f64], &[f64], &[u32]) {
         (
             &self.arena,
@@ -155,327 +130,15 @@ impl SketchSet {
         self.arena.num_walks()
     }
 
-    /// Number of users `n`.
-    pub fn num_nodes(&self) -> usize {
-        self.n
+    /// A seedless working estimator over these sketches.
+    pub fn estimator(&self) -> WalkEstimator {
+        WalkEstimator::with_truncation(Arc::clone(&self.arena), self.trunc.clone(), &self.b0)
     }
 
-    /// Seeds applied so far.
-    pub fn seeds(&self) -> &[Node] {
-        self.trunc.seeds()
-    }
-
-    /// Whether `v` is a seed.
-    pub fn is_seed(&self, v: Node) -> bool {
-        self.trunc.is_seed(v)
-    }
-
-    /// Start node of sketch `j`.
-    pub fn walk_start(&self, j: usize) -> Node {
-        self.arena.start(j)
-    }
-
-    /// Current end value of sketch `j` alone (before pooling).
-    pub fn walk_value(&self, j: usize) -> f64 {
-        self.trunc.end_value(&self.arena, &self.b0, j)
-    }
-
-    /// How many sketches start at `v`.
-    pub fn start_count(&self, v: Node) -> u32 {
-        self.start_count[v as usize]
-    }
-
-    /// Pooled opinion estimate `b̂_qv^{(t)}[S]` across all sketches
-    /// starting at `v` (1 for seeds; `None` if `v` was never sampled).
-    pub fn pooled_estimate(&self, v: Node) -> Option<f64> {
-        if self.trunc.is_seed(v) {
-            return Some(1.0);
-        }
-        let c = self.start_count[v as usize];
-        if c == 0 {
-            None
-        } else {
-            Some(self.start_sum[v as usize] / c as f64)
-        }
-    }
-
-    /// The weight a sampled user carries in score estimates: `v` was drawn
-    /// `count_v` times out of θ, each draw standing for `n/θ` users.
-    pub fn user_weight(&self, v: Node) -> f64 {
-        self.start_count[v as usize] as f64 * self.n as f64 / self.theta() as f64
-    }
-
-    /// Adds `u` to the seed set, truncating affected sketches and
-    /// updating the pooled sums. Returns the start nodes whose pooled
-    /// estimates changed (deduplicated).
-    pub fn add_seed(&mut self, u: Node) -> Vec<Node> {
-        let mut touched = Vec::new();
-        self.add_seed_into(u, &mut touched);
-        touched
-    }
-
-    /// [`SketchSet::add_seed`] writing the changed-users delta report
-    /// into a caller-owned buffer (cleared first; sorted ascending,
-    /// deduplicated) so greedy loops reuse one allocation per seed.
-    pub fn add_seed_into(&mut self, u: Node, touched: &mut Vec<Node>) {
-        touched.clear();
-        let arena = &self.arena;
-        let b0 = &self.b0;
-        let start_sum = &mut self.start_sum;
-        self.trunc.add_seed(arena, u, |walk, old_end| {
-            let start = arena.start(walk);
-            start_sum[start as usize] += 1.0 - b0[old_end as usize];
-            touched.push(start);
-        });
-        touched.sort_unstable();
-        touched.dedup();
-    }
-
-    /// Estimated cumulative score `(n/θ) Σ_j b̂_{qv_j}[S]` (Eq. 35).
-    pub fn estimated_cumulative(&self) -> f64 {
-        // Σ_j over samples of the pooled estimate equals Σ_v sum_v, so the
-        // per-walk sum is identical and cheaper.
-        let sum: f64 = self.start_sum.iter().sum();
-        sum * self.n as f64 / self.theta() as f64
-    }
-
-    /// Estimated positional-p-approval score (Eq. 42): each sample
-    /// contributes `ω[β(b̂_{qv_j})]·1[β ≤ p]`, where `β` ranks the pooled
-    /// target estimate against the *exact* opinions of the other
-    /// candidates for the start user. `score` must be a plurality
-    /// variant; `non_target` holds exact horizon-`t` opinions of all
-    /// candidates (the target row is ignored).
-    pub fn estimated_positional(
-        &self,
-        score: &ScoringFunction,
-        non_target: &OpinionMatrix,
-        q: Candidate,
-    ) -> f64 {
-        let p = score
-            .approval_depth()
-            .expect("estimated_positional requires a plurality-variant score");
-        let mut total = 0.0;
-        for v in 0..self.n as Node {
-            let Some(est) = self.pooled_estimate(v) else {
-                continue;
-            };
-            let c = self.start_count[v as usize];
-            if c == 0 {
-                continue;
-            }
-            total += c as f64 * positional_contribution(score, non_target, q, v, est, p);
-        }
-        total * self.n as f64 / self.theta() as f64
-    }
-
-    /// Estimated Copeland score (Eq. 47): `c_q ≻_M̂ c_x` iff among the θ
-    /// samples more hold `b̂_qv > b_xv` than the opposite (samples vote
-    /// with their multiplicity).
-    pub fn estimated_copeland(&self, non_target: &OpinionMatrix, q: Candidate) -> f64 {
-        let r = non_target.num_candidates();
-        let mut wins = 0usize;
-        for x in 0..r {
-            if x == q {
-                continue;
-            }
-            let mut above = 0i64;
-            for v in 0..self.n as Node {
-                let c = self.start_count[v as usize] as i64;
-                if c == 0 {
-                    continue;
-                }
-                let est = self.pooled_estimate(v).expect("count > 0");
-                let bx = non_target.get(x, v);
-                if est > bx {
-                    above += c;
-                } else if est < bx {
-                    above -= c;
-                }
-            }
-            if above > 0 {
-                wins += 1;
-            }
-        }
-        wins as f64
-    }
-
-    /// For the greedy selectors: the marginal gain in the estimated
-    /// cumulative score for every candidate seed, from one scan over the
-    /// live prefixes.
-    pub fn cumulative_gains(&self) -> Vec<f64> {
-        let scale = self.n as f64 / self.theta() as f64;
-        let mut gains = vec![0.0f64; self.n];
-        self.scan_prefixes(|w, _, gain| gains[w as usize] += gain * scale);
-        gains
-    }
-
-    /// Restricted cumulative estimate over the users in `mask`
-    /// (`(n/θ) Σ_{j: mask[v_j]} b̂`), for the sandwich lower bound.
-    pub fn estimated_cumulative_masked(&self, mask: &[bool]) -> f64 {
-        let sum: f64 = (0..self.n)
-            .filter(|&v| mask[v])
-            .map(|v| self.start_sum[v])
-            .sum();
-        sum * self.n as f64 / self.theta() as f64
-    }
-
-    /// [`SketchSet::cumulative_gains`] restricted to sketches whose start
-    /// node is in `mask`.
-    pub fn cumulative_gains_masked(&self, mask: &[bool]) -> Vec<f64> {
-        let scale = self.n as f64 / self.theta() as f64;
-        let mut gains = vec![0.0f64; self.n];
-        self.scan_prefixes(|w, start, gain| {
-            if mask[start as usize] {
-                gains[w as usize] += gain * scale;
-            }
-        });
-        gains
-    }
-
-    /// Per-(seed, user) **pooled estimate** deltas, sorted by seed: adding
-    /// `seed` raises user `user`'s pooled estimate by `delta`. Mirrors
-    /// [`vom_walks::OpinionEstimator::pair_deltas`] so the rank-based
-    /// greedy can treat RW and RS estimates uniformly.
-    pub fn pair_deltas(&self) -> Vec<PairDelta> {
-        let mut deltas = Vec::new();
-        self.scan_prefixes(|w, start, gain| {
-            deltas.push(PairDelta {
-                seed: w,
-                user: start,
-                delta: gain / self.start_count[start as usize] as f64,
-            });
-        });
-        deltas.sort_unstable_by_key(|d| (d.seed, d.user));
-        deltas.dedup_by(|b, a| {
-            if a.seed == b.seed && a.user == b.user {
-                a.delta += b.delta;
-                true
-            } else {
-                false
-            }
-        });
-        deltas
-    }
-
-    /// Visits `(sketch, start, 1 − end_value)` for every live sketch
-    /// whose live prefix contains candidate `w`, in ascending sketch
-    /// order — `w`'s occurrence list instead of a pass over all θ
-    /// prefixes. Visit set and order match [`Self::scan_prefixes`]
-    /// exactly, so sums taken here are bit-identical to the scan-based
-    /// gains.
-    #[inline]
-    fn visit_candidate_walks<F: FnMut(usize, Node, f64)>(&self, w: Node, mut visit: F) {
-        debug_assert!(!self.trunc.is_seed(w));
-        let (walks, positions) = self.trunc.first_occurrences(w);
-        for (&walk, &pos) in walks.iter().zip(positions) {
-            let walk = walk as usize;
-            // Derived, not cached: a sketch's gain is `1 − end_value` at
-            // all times (end_value pins to 1 once the end is a seed), so
-            // no θ-sized gain array is kept. Same value, same check
-            // order as the historical cached-gain path — bit-identical.
-            let gain = 1.0 - self.trunc.end_value(&self.arena, &self.b0, walk);
-            if gain <= 0.0 {
-                continue;
-            }
-            if pos as usize > self.trunc.end_pos(walk) {
-                continue;
-            }
-            visit(walk, self.arena.start(walk), gain);
-        }
-    }
-
-    /// The marginal gain of candidate seed `w` in the estimated
-    /// cumulative score — bit-identical to `cumulative_gains()[w]`,
-    /// computed from `w`'s occurrence list alone. `0.0` for seeds.
-    pub fn cumulative_gain_of(&self, w: Node) -> f64 {
-        if self.trunc.is_seed(w) {
-            return 0.0;
-        }
-        let scale = self.n as f64 / self.theta() as f64;
-        let mut gain = 0.0;
-        self.visit_candidate_walks(w, |_, _, g| gain += g * scale);
-        gain
-    }
-
-    /// [`SketchSet::cumulative_gain_of`] restricted to sketches whose
-    /// start node is in `mask`.
-    pub fn cumulative_gain_of_masked(&self, w: Node, mask: &[bool]) -> f64 {
-        if self.trunc.is_seed(w) {
-            return 0.0;
-        }
-        let scale = self.n as f64 / self.theta() as f64;
-        let mut gain = 0.0;
-        self.visit_candidate_walks(w, |_, start, g| {
-            if mask[start as usize] {
-                gain += g * scale;
-            }
-        });
-        gain
-    }
-
-    /// Visits the merged per-user **pooled-estimate** deltas of one
-    /// candidate seed `w` — `(user, Δb̂_qv)` pairs in ascending user
-    /// order, the `seed == w` run of [`SketchSet::pair_deltas`] —
-    /// without scanning any other candidate's sketches. Sketch starts
-    /// are sampled with replacement (not grouped), so the merge goes
-    /// through the caller's reusable [`DeltaScratch`].
-    pub fn for_candidate_deltas<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        mut visit: F,
-    ) {
-        if self.trunc.is_seed(w) {
-            return;
-        }
-        scratch.begin(self.n);
-        self.visit_candidate_walks(w, |_, start, g| {
-            scratch.add(start, g / self.start_count[start as usize] as f64);
-        });
-        scratch.drain_sorted(&mut visit);
-    }
-
-    /// [`SketchSet::for_candidate_deltas`] that *also* accumulates the
-    /// candidate's estimated-cumulative gain in occurrence order — one
-    /// pass serves both the rank gain and its cumulative tie-break
-    /// (bit-identical to [`SketchSet::cumulative_gain_of`]).
-    pub fn for_candidate_deltas_cum<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        mut visit: F,
-    ) -> f64 {
-        if self.trunc.is_seed(w) {
-            return 0.0;
-        }
-        let scale = self.n as f64 / self.theta() as f64;
-        let mut cum = 0.0;
-        scratch.begin(self.n);
-        self.visit_candidate_walks(w, |_, start, g| {
-            cum += g * scale;
-            scratch.add(start, g / self.start_count[start as usize] as f64);
-        });
-        scratch.drain_sorted(&mut visit);
-        cum
-    }
-
-    /// Visits `(candidate seed w, walk start, 1 − end_value)` for the
-    /// first occurrence of every non-seed node in every live prefix.
-    fn scan_prefixes<F: FnMut(Node, Node, f64)>(&self, mut visit: F) {
-        for j in 0..self.theta() {
-            let gain = 1.0 - self.walk_value(j);
-            if gain <= 0.0 {
-                continue;
-            }
-            let prefix = self.trunc.prefix(&self.arena, j);
-            let start = self.arena.start(j);
-            for (pos, &w) in prefix.iter().enumerate() {
-                if prefix[..pos].contains(&w) || self.trunc.is_seed(w) {
-                    continue;
-                }
-                visit(w, start, gain);
-            }
-        }
+    /// Resets `est` to these sketches' seedless state, reusing its
+    /// buffers (a query session keeps one working estimator).
+    pub fn reset_estimator(&self, est: &mut WalkEstimator) {
+        est.reset(&self.arena, &self.trunc, &self.b0);
     }
 
     /// Exact owned heap footprint (Figure 17's memory comparison and the
@@ -488,6 +151,59 @@ impl SketchSet {
             + self.start_sum.capacity() * std::mem::size_of::<f64>()
             + self.start_count.capacity() * std::mem::size_of::<u32>()
     }
+}
+
+/// Estimated positional-p-approval score (Eq. 42) of `est`'s current seed
+/// set: each user contributes `ω[β(b̂_qv)]·1[β ≤ p]` once per sample it
+/// stands for ([`WalkEstimator::votes`]), scaled by `n/θ` on sketches,
+/// where `β` ranks the pooled target estimate against the *exact*
+/// opinions of the other candidates for that user. `score` must be a
+/// plurality variant; `non_target` holds exact horizon-`t` opinions of
+/// all candidates (the target row is ignored).
+pub fn estimated_positional(
+    est: &WalkEstimator,
+    score: &ScoringFunction,
+    non_target: &OpinionMatrix,
+    q: Candidate,
+) -> f64 {
+    let p = score
+        .approval_depth()
+        .expect("estimated_positional requires a plurality-variant score");
+    let mut total = 0.0;
+    for v in 0..est.num_nodes() as Node {
+        let Some(b) = est.estimate(v) else { continue };
+        total += est.votes(v) as f64 * positional_contribution(score, non_target, q, v, b, p);
+    }
+    let arena = est.arena();
+    if arena.has_groups() {
+        total
+    } else {
+        total * est.num_nodes() as f64 / arena.num_walks() as f64
+    }
+}
+
+/// Estimated Copeland score (Eq. 47) of `est`'s current seed set:
+/// `c_q ≻_M̂ c_x` iff more samples hold `b̂_qv > b_xv` than the opposite
+/// (users vote with their integer [`WalkEstimator::votes`], so a tie is
+/// exact and never a win).
+pub fn estimated_copeland(est: &WalkEstimator, non_target: &OpinionMatrix, q: Candidate) -> f64 {
+    let wins = (0..non_target.num_candidates())
+        .filter(|&x| x != q)
+        .filter(|&x| {
+            let mut above = 0i64;
+            for v in 0..est.num_nodes() as Node {
+                let Some(b) = est.estimate(v) else { continue };
+                let bx = non_target.get(x, v);
+                if b > bx {
+                    above += i64::from(est.votes(v));
+                } else if b < bx {
+                    above -= i64::from(est.votes(v));
+                }
+            }
+            above > 0
+        })
+        .count();
+    wins as f64
 }
 
 /// One user's contribution to the positional estimate (Eq. 42 summand).
@@ -525,26 +241,33 @@ mod tests {
         (g, b0, d, exact)
     }
 
+    /// The persisted pieces of `s`, owned, for `from_parts` round trips.
+    type OwnedParts = (Arc<WalkArena>, Truncation, Vec<f64>, Vec<f64>, Vec<u32>);
+
+    fn owned_parts(s: &SketchSet) -> OwnedParts {
+        let (arena, trunc, b0, sums, counts) = s.parts();
+        (
+            Arc::clone(arena),
+            trunc.clone(),
+            b0.to_vec(),
+            sums.to_vec(),
+            counts.to_vec(),
+        )
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let (g, b0, d, _) = running_example();
         let a = SketchSet::generate(&g, &d, &b0, 2, 500, 7);
         let b = SketchSet::generate(&g, &d, &b0, 2, 500, 7);
         assert_eq!(a.theta(), 500);
-        for j in 0..500 {
-            assert_eq!(a.walk_start(j), b.walk_start(j));
-            assert_eq!(a.walk_value(j), b.walk_value(j));
-        }
-    }
-
-    #[test]
-    fn start_counts_sum_to_theta() {
-        let (g, b0, d, _) = running_example();
-        let s = SketchSet::generate(&g, &d, &b0, 2, 1000, 41);
-        let total: u32 = (0..4).map(|v| s.start_count(v)).sum();
-        assert_eq!(total as usize, s.theta());
-        let weight_total: f64 = (0..4).map(|v| s.user_weight(v)).sum();
-        assert!((weight_total - 4.0).abs() < 1e-9, "weights sum to n");
+        let (arena_a, _, _, sums_a, counts_a) = a.parts();
+        let (arena_b, _, _, sums_b, counts_b) = b.parts();
+        assert_eq!(arena_a, arena_b);
+        assert_eq!(counts_a, counts_b);
+        assert_eq!(counts_a.iter().sum::<u32>(), 500);
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(sums_a), bits(sums_b));
     }
 
     #[test]
@@ -552,49 +275,8 @@ mod tests {
         let (g, b0, d, _) = running_example();
         let s = SketchSet::generate(&g, &d, &b0, 1, 200_000, 11);
         // Exact cumulative at t=1, no seeds: 2.55.
-        let est = s.estimated_cumulative();
+        let est = s.estimator().estimated_cumulative();
         assert!((est - 2.55).abs() < 0.05, "estimate {est}");
-    }
-
-    #[test]
-    fn seeded_cumulative_estimate_converges() {
-        let (g, b0, d, _) = running_example();
-        let mut s = SketchSet::generate(&g, &d, &b0, 1, 200_000, 13);
-        s.add_seed(2);
-        // Table I row {3}: cumulative 3.15.
-        let est = s.estimated_cumulative();
-        assert!((est - 3.15).abs() < 0.05, "estimate {est}");
-        assert_eq!(s.seeds(), &[2]);
-        assert!(s.is_seed(2));
-    }
-
-    #[test]
-    fn pooled_estimates_converge_to_exact_opinions() {
-        let (g, b0, d, exact) = running_example();
-        let s = SketchSet::generate(&g, &d, &b0, 1, 100_000, 43);
-        for v in 0..4 {
-            let est = s.pooled_estimate(v).unwrap();
-            let want = exact.get(0, v);
-            assert!((est - want).abs() < 0.02, "node {v}: {est} vs {want}");
-        }
-    }
-
-    #[test]
-    fn cumulative_gains_match_realized_gains() {
-        let (g, b0, d, _) = running_example();
-        let s = SketchSet::generate(&g, &d, &b0, 2, 5_000, 17);
-        let gains = s.cumulative_gains();
-        let base = s.estimated_cumulative();
-        for w in 0..4u32 {
-            let mut clone = s.clone();
-            clone.add_seed(w);
-            let realized = clone.estimated_cumulative() - base;
-            assert!(
-                (gains[w as usize] - realized).abs() < 1e-9,
-                "seed {w}: {} vs {realized}",
-                gains[w as usize]
-            );
-        }
     }
 
     #[test]
@@ -602,18 +284,19 @@ mod tests {
         let (g, b0, d, exact) = running_example();
         let s = SketchSet::generate(&g, &d, &b0, 1, 200_000, 19);
         // Exact plurality at t=1, no seeds: 2 (users 0 and 1).
-        let est = s.estimated_positional(&ScoringFunction::Plurality, &exact, 0);
+        let est = estimated_positional(&s.estimator(), &ScoringFunction::Plurality, &exact, 0);
         assert!((est - 2.0).abs() < 0.1, "estimate {est}");
     }
 
     #[test]
     fn seeded_plurality_estimate_converges() {
         let (g, b0, d, exact) = running_example();
-        let mut s = SketchSet::generate(&g, &d, &b0, 1, 200_000, 23);
-        s.add_seed(2);
+        let s = SketchSet::generate(&g, &d, &b0, 1, 200_000, 23);
+        let mut est = s.estimator();
+        est.add_seed(2);
         // Table I row {3}: plurality 4.
-        let est = s.estimated_positional(&ScoringFunction::Plurality, &exact, 0);
-        assert!((est - 4.0).abs() < 0.1, "estimate {est}");
+        let score = estimated_positional(&est, &ScoringFunction::Plurality, &exact, 0);
+        assert!((score - 4.0).abs() < 0.1, "estimate {score}");
     }
 
     #[test]
@@ -622,97 +305,73 @@ mod tests {
         // (µ[S] = 0), which the paper's Theorem 12 explicitly assumes
         // away — sampling cannot resolve it. We test the clear cases.
         let (g, b0, d, exact) = running_example();
-        let mut s = SketchSet::generate(&g, &d, &b0, 1, 50_000, 29);
-        s.add_seed(2);
+        let s = SketchSet::generate(&g, &d, &b0, 1, 50_000, 29);
+        let mut est = s.estimator();
+        est.add_seed(2);
         // Seed {3}: all 4 users above -> 1.
-        assert_eq!(s.estimated_copeland(&exact, 0), 1.0);
+        assert_eq!(estimated_copeland(&est, &exact, 0), 1.0);
 
         // A clearly losing target: everyone far below the competitor.
         let low_b0 = vec![0.05; 4];
         let s2 = SketchSet::generate(&g, &d, &low_b0, 1, 20_000, 59);
-        assert_eq!(s2.estimated_copeland(&exact, 0), 0.0);
+        assert_eq!(estimated_copeland(&s2.estimator(), &exact, 0), 0.0);
     }
 
     #[test]
-    fn pair_deltas_predict_pooled_estimate_changes() {
+    fn reset_estimator_matches_a_fresh_one() {
         let (g, b0, d, _) = running_example();
         let s = SketchSet::generate(&g, &d, &b0, 2, 2_000, 31);
-        let deltas = s.pair_deltas();
-        for pair in deltas.windows(2) {
-            assert!((pair[0].seed, pair[0].user) < (pair[1].seed, pair[1].user));
-        }
-        // Realized check for seed 2.
-        let before: Vec<_> = (0..4).map(|v| s.pooled_estimate(v)).collect();
-        let mut clone = s.clone();
-        clone.add_seed(2);
-        let mut predicted: Vec<f64> = before.iter().map(|e| e.unwrap_or(0.0)).collect();
-        for pd in deltas.iter().filter(|d| d.seed == 2) {
-            predicted[pd.user as usize] += pd.delta;
-        }
-        for v in 0..4u32 {
-            if v == 2 || before[v as usize].is_none() {
-                continue; // the seed itself pins to 1
-            }
-            let realized = clone.pooled_estimate(v).unwrap();
-            assert!(
-                (predicted[v as usize] - realized).abs() < 1e-9,
-                "node {v}: predicted {} vs {realized}",
-                predicted[v as usize]
+        let mut working = s.estimator();
+        working.add_seed(1);
+        s.reset_estimator(&mut working);
+        assert!(working.seeds().is_empty());
+        let fresh = s.estimator();
+        for v in 0..4 {
+            assert_eq!(
+                working.estimate(v).map(f64::to_bits),
+                fresh.estimate(v).map(f64::to_bits)
             );
         }
+        assert_eq!(working.add_seed(2), s.estimator().add_seed(2));
     }
 
     #[test]
-    fn per_candidate_gain_matches_full_scan() {
+    fn from_parts_round_trips_a_generated_set() {
         let (g, b0, d, _) = running_example();
-        let mut s = SketchSet::generate(&g, &d, &b0, 2, 3_000, 61);
-        let mask = [true, true, false, true];
-        for step in 0..2 {
-            let gains = s.cumulative_gains();
-            let masked = s.cumulative_gains_masked(&mask);
-            for w in 0..4u32 {
-                if s.is_seed(w) {
-                    continue;
-                }
-                assert_eq!(
-                    s.cumulative_gain_of(w).to_bits(),
-                    gains[w as usize].to_bits(),
-                    "step {step} node {w}"
-                );
-                assert_eq!(
-                    s.cumulative_gain_of_masked(w, &mask).to_bits(),
-                    masked[w as usize].to_bits(),
-                    "step {step} node {w} (masked)"
-                );
-            }
-            s.add_seed(3);
-        }
+        let s = SketchSet::generate(&g, &d, &b0, 2, 300, 5);
+        let (arena, trunc, b0s, sums, counts) = owned_parts(&s);
+        let back = SketchSet::from_parts(arena, trunc, b0s, 4, sums, counts).unwrap();
+        assert_eq!(back.heap_bytes(), s.heap_bytes());
     }
 
     #[test]
-    fn per_candidate_deltas_match_pair_deltas() {
+    fn from_parts_rejects_counts_that_disagree_with_the_starts() {
+        // A zero count for a sampled start would divide its deltas by
+        // zero and silently drop the user from the rank greedy.
         let (g, b0, d, _) = running_example();
-        let mut s = SketchSet::generate(&g, &d, &b0, 3, 2_000, 67);
-        s.add_seed(0);
-        let all = s.pair_deltas();
-        let mut scratch = DeltaScratch::default();
-        for w in 0..4u32 {
-            if s.is_seed(w) {
-                continue;
-            }
-            let mut got: Vec<(Node, f64)> = Vec::new();
-            s.for_candidate_deltas(w, &mut scratch, |user, delta| got.push((user, delta)));
-            let want: Vec<(Node, f64)> = all
-                .iter()
-                .filter(|d| d.seed == w)
-                .map(|d| (d.user, d.delta))
-                .collect();
-            assert_eq!(got.len(), want.len(), "node {w}");
-            for (g, w_) in got.iter().zip(&want) {
-                assert_eq!(g.0, w_.0, "node {w}");
-                assert!((g.1 - w_.1).abs() < 1e-12, "{} vs {}", g.1, w_.1);
-            }
-            assert!(got.windows(2).all(|p| p[0].0 < p[1].0), "ascending users");
+        let s = SketchSet::generate(&g, &d, &b0, 2, 300, 5);
+        let (arena, trunc, b0s, sums, mut counts) = owned_parts(&s);
+        let v = counts.iter().position(|&c| c > 0).unwrap();
+        counts[(v + 1) % 4] += counts[v];
+        counts[v] = 0;
+        assert_eq!(
+            SketchSet::from_parts(arena, trunc, b0s, 4, sums, counts).unwrap_err(),
+            "start counts disagree with the sketch starts"
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_out_of_range_initial_opinions() {
+        let (g, b0, d, _) = running_example();
+        let s = SketchSet::generate(&g, &d, &b0, 2, 300, 5);
+        for bad in [f64::NAN, -0.1, 1.5] {
+            let (arena, trunc, mut b0s, sums, counts) = owned_parts(&s);
+            b0s[1] = bad;
+            assert_eq!(
+                SketchSet::from_parts(arena, trunc, b0s, 4, sums, counts).unwrap_err(),
+                "initial opinions must lie in [0, 1]",
+                "b0 = {bad}"
+            );
         }
     }
 
@@ -734,7 +393,7 @@ mod tests {
         // truncation is exactly the 3 per-node arrays (20 bytes/node).
         assert_eq!(
             s.heap_bytes() - arena.heap_bytes() - trunc.heap_bytes(),
-            s.num_nodes() * 20
+            4 * 20
         );
     }
 }

@@ -36,8 +36,9 @@ impl WalkArena {
 
     /// Reassembles an arena from flat buffers (a fresh build or a
     /// snapshot load); validates the offsets invariant the accessors
-    /// index by, so a corrupt-but-digest-valid snapshot cannot panic
-    /// later.
+    /// index by and, for grouped arenas, that group `v` holds only walks
+    /// starting at `v` — so a corrupt-but-digest-valid snapshot can
+    /// neither panic later nor skew estimates silently.
     pub fn from_parts(
         nodes: FlatBuf<Node>,
         offsets: FlatBuf<usize>,
@@ -59,6 +60,12 @@ impl WalkArena {
             }
             if g.windows(2).any(|w| w[1] < w[0]) {
                 return Err("group offsets must be non-decreasing");
+            }
+            // Estimators read each walk's start from the walk itself and
+            // expect a group's walks to start at its node.
+            let mut ranges = g.windows(2).enumerate();
+            if ranges.any(|(v, r)| (r[0]..r[1]).any(|j| nodes[offsets[j]] as usize != v)) {
+                return Err("every walk of group v must start at v");
             }
         }
         Ok(WalkArena {
@@ -273,6 +280,24 @@ mod tests {
         assert_eq!(a.num_groups(), Some(2));
         assert_eq!(a.group_range(0), Some(0..2));
         assert_eq!(a.group_range(1), Some(2..3));
+    }
+
+    #[test]
+    fn from_parts_rejects_walks_filed_under_another_start() {
+        // Walks [0], [1], [1] with groups {0: 0..1, 1: 1..3} are valid;
+        // swapping the first two walks files a walk of 1 under node 0.
+        let parts = |nodes: Vec<Node>| {
+            WalkArena::from_parts(
+                nodes.into(),
+                vec![0usize, 1, 2, 3].into(),
+                Some(vec![0usize, 1, 3].into()),
+            )
+        };
+        assert!(parts(vec![0, 1, 1]).is_ok());
+        assert_eq!(
+            parts(vec![1, 0, 1]).unwrap_err(),
+            "every walk of group v must start at v"
+        );
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Per-node opinion estimates and greedy marginal-gain scans.
+//! Truncated-walk opinion estimates and greedy marginal-gain scans — the
+//! one estimator behind both RW (§V, per-node walks) and RS (§VI,
+//! sampled sketches).
 
 use crate::arena::WalkArena;
 use crate::truncation::Truncation;
+use std::sync::Arc;
 use vom_graph::Node;
 
 /// One `(candidate seed, affected user, opinion delta)` triple produced by
-/// [`OpinionEstimator::pair_deltas`]: adding `seed` would raise the
+/// [`WalkEstimator::pair_deltas`]: adding `seed` would raise the
 /// estimated opinion of `user` by `delta`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairDelta {
@@ -17,13 +20,13 @@ pub struct PairDelta {
     pub delta: f64,
 }
 
-/// Reusable buffers for per-candidate delta merging on estimators whose
-/// walks are *not* grouped by start node (the sketch set samples starts
-/// with replacement): walk-order contributions are accumulated per user
-/// and then emitted in ascending user order. Per-node (grouped) arenas
-/// never touch it. Keep one per greedy loop and pass it to every
-/// `for_candidate_deltas` call — the buffers are epoch-reset, not
-/// reallocated.
+/// Reusable buffers for per-candidate delta merging: walk-order
+/// contributions are accumulated per user and then emitted in ascending
+/// user order (a candidate's occurrences are not user-major on sampled
+/// arenas, whose walks are not grouped by start node).
+/// Keep one per greedy loop and pass it to every
+/// [`WalkEstimator::for_candidate_deltas_cum`] call — the buffers are
+/// epoch-reset, not reallocated.
 #[derive(Debug, Default)]
 pub struct DeltaScratch {
     /// Per-user accumulated delta for the current candidate.
@@ -77,73 +80,163 @@ impl DeltaScratch {
     }
 }
 
-/// Walk-based estimator of `b̂_qv^{(t)}[S]` for a per-node walk arena
-/// (Algorithm 4). The estimate for `v` is the mean end-node value of the
-/// `λ_v` truncated walks starting at `v` (Theorems 9–10), maintained
-/// incrementally as seeds are added.
+/// Pools every walk's end value under `trunc` into per-start `sums` and
+/// `counts` (cleared and resized to `b0.len()` first), handing each
+/// walk's `(start, end value)` to `each` on the way. One sequential pass
+/// in walk order, so the float sums are schedule-independent (the
+/// determinism contract — see `vendor/rayon`'s crate docs).
+fn pool(
+    arena: &WalkArena,
+    trunc: &Truncation,
+    b0: &[f64],
+    sums: &mut Vec<f64>,
+    counts: &mut Vec<u32>,
+    mut each: impl FnMut(Node, f64),
+) {
+    sums.clear();
+    sums.resize(b0.len(), 0.0);
+    counts.clear();
+    counts.resize(b0.len(), 0);
+    for j in 0..arena.num_walks() {
+        let (start, end) = (arena.start(j), trunc.end_value(arena, b0, j));
+        sums[start as usize] += end;
+        counts[start as usize] += 1;
+        each(start, end);
+    }
+}
+
+/// The seedless pooled state of `arena` under target opinions `b0`:
+/// per start node, the sum of its walks' end values and their number —
+/// the arrays a sketch set persists. A [`WalkEstimator`] derives the
+/// same bits in its own pass.
+pub fn pooled_end_values(
+    arena: &WalkArena,
+    trunc: &Truncation,
+    b0: &[f64],
+) -> (Vec<f64>, Vec<u32>) {
+    let (mut sums, mut counts) = (Vec::new(), Vec::new());
+    pool(arena, trunc, b0, &mut sums, &mut counts, |_, _| {});
+    (sums, counts)
+}
+
+/// Incremental estimator of `b̂_qv^{(t)}[S]` over a walk arena, with the
+/// marginal-gain scans the greedy selectors consume (Algorithms 4–5).
+///
+/// Every walk is truncated at its first seed (Theorem 9) and all walks
+/// sharing a start are **pooled**: the estimate for `v` is the mean end
+/// value of the walks starting at `v` (Theorems 9–10; §VI-B footnote 6
+/// for sketches). The arena's layout decides the rest:
+///
+/// * **grouped** (per-node RW arenas, [`WalkArena::has_groups`]): every
+///   user counts once in score estimates, a walk's cumulative weight is
+///   `1/λ_v`, and a user with `λ_v = 0` falls back to its initial
+///   opinion;
+/// * **sampled** (RS sketches, starts drawn with replacement): user `v`
+///   stands for `count_v · n/θ` users, a walk's cumulative weight is
+///   `n/θ` (Eq. 35), and a never-sampled user has no estimate.
+///
+/// The per-walk caches (gain `1 − end_value`, start node) are query-local
+/// state, kept next to the truncation so the per-candidate occurrence
+/// scans read two flat arrays instead of chasing the arena (reading
+/// starts through the arena measured ~15% slower RW plurality queries).
 #[derive(Debug, Clone)]
-pub struct OpinionEstimator<'a> {
-    arena: &'a WalkArena,
+pub struct WalkEstimator {
+    arena: Arc<WalkArena>,
     trunc: Truncation,
     b0: Vec<f64>,
     /// Per start node: sum of current end values over its walks.
     sums: Vec<f64>,
-    /// Per start node: λ_v.
-    lambda: Vec<u32>,
-    /// Walk index -> start node (walks are grouped, but O(1) lookup keeps
-    /// the truncation callback cheap).
-    walk_start: Vec<Node>,
-    /// Walk index -> current contribution gain `1 − end_value`: cached
-    /// so the per-candidate occurrence scans do one load instead of
-    /// chasing the arena. `0.0` once the walk ends at a seed (it then
-    /// never contributes again); maintained by `add_seed_into`.
+    /// Per start node: number of walks starting there (`λ_v`).
+    counts: Vec<u32>,
+    /// Walk index -> current gain `1 − end_value`. `0.0` once the walk
+    /// ends at a seed (it then never contributes again); maintained by
+    /// `add_seed_into`.
     walk_gain: Vec<f64>,
+    /// Walk index -> start node.
+    walk_start: Vec<Node>,
 }
 
-impl<'a> OpinionEstimator<'a> {
-    /// Builds an estimator over a **grouped** arena (one produced by
-    /// [`crate::WalkGenerator::generate_per_node`]) and the target
-    /// candidate's seedless initial opinions `b0`.
+impl WalkEstimator {
+    /// Builds a seedless estimator over `arena` (grouped or sampled) for
+    /// the target candidate's initial opinions `b0` (one per user).
     ///
     /// # Panics
-    /// If the arena has no start groups or `b0` length mismatches.
-    pub fn new(arena: &'a WalkArena, b0: &[f64]) -> Self {
-        let n = arena
-            .num_groups()
-            .expect("OpinionEstimator requires a per-node (grouped) arena");
-        assert_eq!(b0.len(), n, "b0 length must equal node count");
-        let trunc = Truncation::new(arena, n);
-        let mut sums = vec![0.0f64; n];
-        let mut lambda = vec![0u32; n];
-        let mut walk_start = vec![0 as Node; arena.num_walks()];
-        let mut walk_gain = vec![0.0f64; arena.num_walks()];
-        for v in 0..n as Node {
-            let range = arena.group_range(v).expect("grouped arena");
-            lambda[v as usize] = range.len() as u32;
-            for i in range {
-                walk_start[i] = v;
-                let end = trunc.end_value(arena, b0, i);
-                sums[v as usize] += end;
-                walk_gain[i] = 1.0 - end;
-            }
+    /// If a grouped arena's group count differs from `b0.len()`.
+    pub fn new(arena: Arc<WalkArena>, b0: &[f64]) -> Self {
+        let trunc = Truncation::new(&arena, b0.len());
+        Self::with_truncation(arena, trunc, b0)
+    }
+
+    /// An estimator over `arena` starting from an already-built truncation
+    /// state (a sketch set caches its seedless one, so queries skip
+    /// rebuilding the occurrence index). Sums, counts and the per-walk
+    /// caches are derived from `trunc` here.
+    ///
+    /// # Panics
+    /// If a grouped arena's group count differs from `b0.len()`.
+    pub fn with_truncation(arena: Arc<WalkArena>, trunc: Truncation, b0: &[f64]) -> Self {
+        if let Some(groups) = arena.num_groups() {
+            assert_eq!(groups, b0.len(), "b0 length must equal node count");
         }
-        OpinionEstimator {
+        let mut est = WalkEstimator {
             arena,
             trunc,
             b0: b0.to_vec(),
-            sums,
-            lambda,
-            walk_start,
-            walk_gain,
-        }
+            sums: Vec::new(),
+            counts: Vec::new(),
+            walk_gain: Vec::new(),
+            walk_start: Vec::new(),
+        };
+        est.repool();
+        est
+    }
+
+    /// Resets this estimator to `arena` under truncation state `trunc`
+    /// and opinions `b0` — what [`WalkEstimator::with_truncation`] builds,
+    /// re-filling the existing buffers instead of allocating (a query
+    /// session reuses one working estimator across queries).
+    pub fn reset(&mut self, arena: &Arc<WalkArena>, trunc: &Truncation, b0: &[f64]) {
+        self.arena = Arc::clone(arena);
+        self.trunc.clone_from(trunc);
+        self.b0.clear();
+        self.b0.extend_from_slice(b0);
+        self.repool();
+    }
+
+    /// Re-derives sums, counts and the per-walk caches from the current
+    /// truncation in one pass.
+    fn repool(&mut self) {
+        let (walk_gain, walk_start) = (&mut self.walk_gain, &mut self.walk_start);
+        walk_gain.clear();
+        walk_start.clear();
+        // Exact-size, so a fresh build never holds a doubled buffer.
+        walk_gain.reserve_exact(self.arena.num_walks());
+        walk_start.reserve_exact(self.arena.num_walks());
+        pool(
+            &self.arena,
+            &self.trunc,
+            &self.b0,
+            &mut self.sums,
+            &mut self.counts,
+            |start, end| {
+                walk_gain.push(1.0 - end);
+                walk_start.push(start);
+            },
+        );
     }
 
     /// Number of users.
     pub fn num_nodes(&self) -> usize {
-        self.sums.len()
+        self.b0.len()
     }
 
-    /// Seeds added so far.
+    /// The walks this estimator truncates (its layout decides the
+    /// weighting — see the type docs).
+    pub fn arena(&self) -> &WalkArena {
+        &self.arena
+    }
+
+    /// Seeds added so far, in insertion order.
     pub fn seeds(&self) -> &[Node] {
         self.trunc.seeds()
     }
@@ -153,86 +246,94 @@ impl<'a> OpinionEstimator<'a> {
         self.trunc.is_seed(v)
     }
 
-    /// Walks per node `λ_v`.
-    pub fn lambda(&self, v: Node) -> u32 {
-        self.lambda[v as usize]
-    }
-
     /// Estimated opinion `b̂_qv^{(t)}[S]` for the current seed set.
     ///
-    /// Seeds estimate exactly 1 (their walks truncate at position 0).
-    /// Nodes with `λ_v = 0` fall back to the initial opinion — only
-    /// relevant for per-node λ schedules that skip nodes.
+    /// Seeds estimate exactly 1 (their walks truncate at position 0). A
+    /// user no walk starts at falls back to its initial opinion on a
+    /// grouped arena (per-node λ schedules that skip nodes) and has no
+    /// estimate (`None`) on a sampled one.
     #[inline]
-    pub fn estimate(&self, v: Node) -> f64 {
+    pub fn estimate(&self, v: Node) -> Option<f64> {
         if self.trunc.is_seed(v) {
-            return 1.0;
+            return Some(1.0);
         }
-        let l = self.lambda[v as usize];
-        if l == 0 {
-            self.b0[v as usize]
+        match self.counts[v as usize] {
+            0 if self.arena.has_groups() => Some(self.b0[v as usize]),
+            0 => None,
+            c => Some(self.sums[v as usize] / c as f64),
+        }
+    }
+
+    /// How many samples user `v` stands for: 1 on a grouped arena (every
+    /// user counts once), `count_v` — the number of sketches started at
+    /// `v` — on a sampled one. An integer, so majorities over users
+    /// (Eq. 47) are decided exactly.
+    pub fn votes(&self, v: Node) -> u32 {
+        if self.arena.has_groups() {
+            1
         } else {
-            self.sums[v as usize] / l as f64
+            self.counts[v as usize]
         }
     }
 
-    /// All per-node estimates.
-    pub fn estimates(&self) -> Vec<f64> {
-        (0..self.num_nodes() as Node)
-            .map(|v| self.estimate(v))
-            .collect()
+    /// The weight user `v` carries in estimated scores: 1 on a grouped
+    /// arena (every user counts once); on a sampled one `v` was drawn
+    /// `count_v` times out of θ, each draw standing for `n/θ` users.
+    pub fn user_weight(&self, v: Node) -> f64 {
+        if self.arena.has_groups() {
+            1.0
+        } else {
+            self.counts[v as usize] as f64 * self.num_nodes() as f64 / self.arena.num_walks() as f64
+        }
     }
 
-    /// Estimated cumulative score `Σ_v b̂_qv^{(t)}[S]`.
+    /// Estimated cumulative score: `Σ_v b̂_qv^{(t)}[S]` on a grouped
+    /// arena, `(n/θ) Σ_j b̂_{qv_j}[S]` (Eq. 35) on a sampled one.
     pub fn estimated_cumulative(&self) -> f64 {
-        (0..self.num_nodes() as Node)
-            .map(|v| self.estimate(v))
-            .sum()
+        if self.arena.has_groups() {
+            (0..self.num_nodes() as Node)
+                .map(|v| {
+                    self.estimate(v)
+                        .expect("grouped arenas estimate every user")
+                })
+                .sum()
+        } else {
+            // Σ_j over samples of the pooled estimate equals Σ_v sum_v,
+            // so the per-start sum is identical and cheaper.
+            let sum: f64 = self.sums.iter().sum();
+            sum * self.num_nodes() as f64 / self.arena.num_walks() as f64
+        }
     }
 
-    /// Restricted cumulative estimate `Σ_{v: mask[v]} b̂_qv^{(t)}[S]` —
-    /// the sandwich lower bound aggregates only over the favorable users
-    /// set `V_q^{(t)}` (Definition 3).
-    pub fn estimated_cumulative_masked(&self, mask: &[bool]) -> f64 {
-        (0..self.num_nodes() as Node)
-            .filter(|&v| mask[v as usize])
-            .map(|v| self.estimate(v))
-            .sum()
-    }
-
-    /// [`OpinionEstimator::cumulative_gains`] restricted to walks whose
-    /// start node is in `mask` (used to greedily maximize the sandwich
-    /// lower bound).
-    pub fn cumulative_gains_masked(&self, mask: &[bool]) -> Vec<f64> {
-        let mut gains = vec![0.0f64; self.num_nodes()];
-        self.scan_prefixes(|w, start, per_walk_gain| {
-            if mask[start as usize] {
-                gains[w as usize] += per_walk_gain / self.lambda[start as usize] as f64;
-            }
-        });
-        gains
+    /// The weight of a walk-level gain in the estimated cumulative score
+    /// on a sampled arena: the sample weight `n/θ` (Eq. 35). `None` on a
+    /// grouped arena, where a walk's gain `g` counts toward its start's
+    /// pooled mean instead (`g/λ_v`).
+    #[inline]
+    fn sample_scale(&self) -> Option<f64> {
+        (!self.arena.has_groups()).then(|| self.num_nodes() as f64 / self.arena.num_walks() as f64)
     }
 
     /// Adds `u` to the seed set, truncating walks and updating sums.
-    /// Returns the start nodes whose estimates changed (deduplicated),
-    /// which the γ* heuristic and rank-based gain scans consume.
+    /// Returns the start nodes whose estimates changed (sorted,
+    /// deduplicated), which the γ* heuristic and rank-based gain scans
+    /// consume.
     pub fn add_seed(&mut self, u: Node) -> Vec<Node> {
         let mut touched = Vec::new();
         self.add_seed_into(u, &mut touched);
         touched
     }
 
-    /// [`OpinionEstimator::add_seed`] writing the changed-users delta
-    /// report into a caller-owned buffer (cleared first), so a greedy
-    /// loop adding one seed per iteration reuses one allocation. The
-    /// report is sorted ascending and deduplicated.
+    /// [`WalkEstimator::add_seed`] writing the changed-users report into
+    /// a caller-owned buffer (cleared first), so a greedy loop adding one
+    /// seed per iteration reuses one allocation.
     pub fn add_seed_into(&mut self, u: Node, touched: &mut Vec<Node>) {
         touched.clear();
-        let arena = self.arena;
+        let arena = &self.arena;
         let b0 = &self.b0;
         let sums = &mut self.sums;
-        let walk_start = &self.walk_start;
         let walk_gain = &mut self.walk_gain;
+        let walk_start = &self.walk_start;
         self.trunc.add_seed(arena, u, |walk, old_end| {
             let start = walk_start[walk];
             sums[start as usize] += 1.0 - b0[old_end as usize];
@@ -245,32 +346,86 @@ impl<'a> OpinionEstimator<'a> {
     }
 
     /// For every candidate seed `w`, the increase in the **estimated
-    /// cumulative score** if `w` were added: one scan over all live walk
-    /// prefixes (§V-B's "one scan over all walks"). Already-seeded nodes
-    /// report 0.
-    pub fn cumulative_gains(&self) -> Vec<f64> {
+    /// cumulative score** if `w` were added — restricted to walks whose
+    /// start is in `mask` when one is given (the sandwich lower bound of
+    /// Definition 3). One scan over all live walk prefixes (§V-B's "one
+    /// scan over all walks"); seeds report 0.
+    pub fn cumulative_gains(&self, mask: Option<&[bool]>) -> Vec<f64> {
+        // One loop per weighting and mask case: a per-visit branch on
+        // either measured ~2x slower scans.
+        let counts = &self.counts;
+        match self.sample_scale() {
+            None => self.weighted_gains(mask, |start, g| g / counts[start as usize] as f64),
+            Some(scale) => self.weighted_gains(mask, |_, g| g * scale),
+        }
+    }
+
+    /// [`Self::cumulative_gains`] under one concrete weighting `term`.
+    fn weighted_gains(&self, mask: Option<&[bool]>, term: impl Fn(Node, f64) -> f64) -> Vec<f64> {
         let mut gains = vec![0.0f64; self.num_nodes()];
-        self.scan_prefixes(|w, start, per_walk_gain| {
-            gains[w as usize] += per_walk_gain / self.lambda[start as usize] as f64;
-        });
+        match mask {
+            None => self.scan_prefixes(|w, start, g| gains[w as usize] += term(start, g)),
+            Some(mask) => self.scan_prefixes(|w, start, g| {
+                if mask[start as usize] {
+                    gains[w as usize] += term(start, g);
+                }
+            }),
+        }
         gains
     }
 
-    /// Per-(seed, user) opinion deltas, sorted by seed node: everything
-    /// the rank-based scores need to evaluate marginal gains exactly on
-    /// the estimates. Size is bounded by the total live prefix length.
+    /// The marginal estimated-cumulative gain of one candidate seed `w`
+    /// (restricted to `mask` when given) — bit-identical to
+    /// `cumulative_gains(mask)[w]`, computed from `w`'s occurrence list
+    /// alone. `0.0` for seeds.
+    pub fn cumulative_gain_of(&self, w: Node, mask: Option<&[bool]>) -> f64 {
+        if self.trunc.is_seed(w) {
+            return 0.0;
+        }
+        let counts = &self.counts;
+        match self.sample_scale() {
+            None => self.weighted_gain_of(w, mask, |start, g| g / counts[start as usize] as f64),
+            Some(scale) => self.weighted_gain_of(w, mask, |_, g| g * scale),
+        }
+    }
+
+    /// [`Self::cumulative_gain_of`] under one concrete weighting `term`.
+    fn weighted_gain_of(
+        &self,
+        w: Node,
+        mask: Option<&[bool]>,
+        term: impl Fn(Node, f64) -> f64,
+    ) -> f64 {
+        let mut gain = 0.0;
+        match mask {
+            None => self.visit_candidate_walks(w, |start, g| gain += term(start, g)),
+            Some(mask) => self.visit_candidate_walks(w, |start, g| {
+                if mask[start as usize] {
+                    gain += term(start, g);
+                }
+            }),
+        }
+        gain
+    }
+
+    /// Per-(seed, user) estimate deltas, sorted by seed then user:
+    /// everything the rank-based scores need to evaluate marginal gains
+    /// exactly on the estimates. Size is bounded by the total live prefix
+    /// length.
     pub fn pair_deltas(&self) -> Vec<PairDelta> {
         let mut deltas = Vec::new();
-        self.scan_prefixes(|w, start, per_walk_gain| {
+        self.scan_prefixes(|w, start, g| {
             deltas.push(PairDelta {
                 seed: w,
                 user: start,
-                delta: per_walk_gain / self.lambda[start as usize] as f64,
+                delta: g / self.counts[start as usize] as f64,
             });
         });
         // Group by seed, then merge duplicate (seed, user) pairs from
-        // different walks of the same start.
-        deltas.sort_unstable_by_key(|d| (d.seed, d.user));
+        // different walks of the same start. The sort is stable, so each
+        // pair's terms add in walk order — the order the per-candidate
+        // scan adds them in.
+        deltas.sort_by_key(|d| (d.seed, d.user));
         deltas.dedup_by(|b, a| {
             if a.seed == b.seed && a.user == b.user {
                 a.delta += b.delta;
@@ -282,15 +437,48 @@ impl<'a> OpinionEstimator<'a> {
         deltas
     }
 
-    /// Visits `(walk, start, walk-level gain)` for every **live** walk
-    /// whose live prefix contains candidate `w`, in ascending walk
-    /// order — the occurrence-index dual of [`Self::scan_prefixes`]:
-    /// one candidate in `O(occurrences of w)` instead of one pass over
-    /// every prefix. The visit set and order match the scan exactly
-    /// (first occurrences only, dead walks skipped), so sums taken here
-    /// are bit-identical to the scan-based gains.
+    /// Visits the merged per-user estimate deltas of one candidate seed
+    /// `w` — `(user, Δb̂_qv)` pairs in ascending user order, exactly the
+    /// `seed == w` run of [`WalkEstimator::pair_deltas`] — without
+    /// scanning any other candidate's walks, and returns `w`'s
+    /// estimated-cumulative gain (bit-identical to
+    /// [`WalkEstimator::cumulative_gain_of`]) from the same pass: the
+    /// rank greedy's primary gain and its tie-break in one scan. The
+    /// merge goes through the caller's reusable [`DeltaScratch`].
+    pub fn for_candidate_deltas_cum<F: FnMut(Node, f64)>(
+        &self,
+        w: Node,
+        scratch: &mut DeltaScratch,
+        mut visit: F,
+    ) -> f64 {
+        if self.trunc.is_seed(w) {
+            return 0.0;
+        }
+        let counts = &self.counts;
+        let scale = self.sample_scale();
+        let mut cum = 0.0;
+        scratch.begin(self.num_nodes());
+        self.visit_candidate_walks(w, |start, g| {
+            let delta = g / counts[start as usize] as f64;
+            cum += match scale {
+                Some(scale) => g * scale,
+                None => delta,
+            };
+            scratch.add(start, delta);
+        });
+        scratch.drain_sorted(&mut visit);
+        cum
+    }
+
+    /// Visits `(start, walk-level gain)` for every **live** walk whose
+    /// live prefix contains candidate `w`, in ascending walk order — the
+    /// occurrence-index dual of [`Self::scan_prefixes`]: one candidate in
+    /// `O(occurrences of w)` instead of one pass over every prefix. The
+    /// visit set and order match the scan exactly (first occurrences
+    /// only, dead walks skipped), so sums taken here are bit-identical to
+    /// the scan-based gains.
     #[inline]
-    fn visit_candidate_walks<F: FnMut(usize, Node, f64)>(&self, w: Node, mut visit: F) {
+    fn visit_candidate_walks<F: FnMut(Node, f64)>(&self, w: Node, mut visit: F) {
         debug_assert!(!self.trunc.is_seed(w));
         let (walks, positions) = self.trunc.first_occurrences(w);
         for (&walk, &pos) in walks.iter().zip(positions) {
@@ -302,107 +490,8 @@ impl<'a> OpinionEstimator<'a> {
             if pos as usize > self.trunc.end_pos(walk) {
                 continue; // beyond the live prefix
             }
-            visit(walk, self.walk_start[walk], gain);
+            visit(self.walk_start[walk], gain);
         }
-    }
-
-    /// The marginal estimated-cumulative gain of a single candidate seed
-    /// `w` — bit-identical to `cumulative_gains()[w]`, computed from
-    /// `w`'s occurrence list alone. `0.0` for seeds.
-    pub fn cumulative_gain_of(&self, w: Node) -> f64 {
-        if self.trunc.is_seed(w) {
-            return 0.0;
-        }
-        let mut gain = 0.0;
-        self.visit_candidate_walks(w, |_, start, g| {
-            gain += g / self.lambda[start as usize] as f64;
-        });
-        gain
-    }
-
-    /// [`OpinionEstimator::cumulative_gain_of`] restricted to walks whose
-    /// start node is in `mask`.
-    pub fn cumulative_gain_of_masked(&self, w: Node, mask: &[bool]) -> f64 {
-        if self.trunc.is_seed(w) {
-            return 0.0;
-        }
-        let mut gain = 0.0;
-        self.visit_candidate_walks(w, |_, start, g| {
-            if mask[start as usize] {
-                gain += g / self.lambda[start as usize] as f64;
-            }
-        });
-        gain
-    }
-
-    /// Visits the merged per-user estimate deltas of one candidate seed
-    /// `w` — `(user, Δb̂_qv)` pairs in ascending user order, exactly the
-    /// `seed == w` run of [`OpinionEstimator::pair_deltas`] — without
-    /// scanning any other candidate's walks. Grouped arenas emit
-    /// straight off the occurrence list (walk order is start order);
-    /// `scratch` is only for API parity with the sketch estimator.
-    pub fn for_candidate_deltas<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        _scratch: &mut DeltaScratch,
-        mut visit: F,
-    ) {
-        if self.trunc.is_seed(w) {
-            return;
-        }
-        // Walks are grouped by start node in ascending node order, so
-        // occurrences arrive user-major: merge adjacent runs in place.
-        let mut current: Option<(Node, f64)> = None;
-        self.visit_candidate_walks(w, |_, start, g| {
-            let delta = g / self.lambda[start as usize] as f64;
-            match &mut current {
-                Some((user, acc)) if *user == start => *acc += delta,
-                _ => {
-                    if let Some((user, acc)) = current.take() {
-                        visit(user, acc);
-                    }
-                    current = Some((start, delta));
-                }
-            }
-        });
-        if let Some((user, acc)) = current {
-            visit(user, acc);
-        }
-    }
-
-    /// [`OpinionEstimator::for_candidate_deltas`] that *also*
-    /// accumulates the candidate's estimated-cumulative gain in
-    /// occurrence order — one pass serves both the rank gain and its
-    /// cumulative tie-break (bit-identical to
-    /// [`OpinionEstimator::cumulative_gain_of`]).
-    pub fn for_candidate_deltas_cum<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        _scratch: &mut DeltaScratch,
-        mut visit: F,
-    ) -> f64 {
-        if self.trunc.is_seed(w) {
-            return 0.0;
-        }
-        let mut cum = 0.0;
-        let mut current: Option<(Node, f64)> = None;
-        self.visit_candidate_walks(w, |_, start, g| {
-            let delta = g / self.lambda[start as usize] as f64;
-            cum += delta;
-            match &mut current {
-                Some((user, acc)) if *user == start => *acc += delta,
-                _ => {
-                    if let Some((user, acc)) = current.take() {
-                        visit(user, acc);
-                    }
-                    current = Some((start, delta));
-                }
-            }
-        });
-        if let Some((user, acc)) = current {
-            visit(user, acc);
-        }
-        cum
     }
 
     /// Visits `(candidate seed w, walk start, walk-level gain)` for the
@@ -410,14 +499,13 @@ impl<'a> OpinionEstimator<'a> {
     /// where the walk-level gain is `1 − end_value` (what truncating that
     /// walk at `w` would change its contribution by).
     fn scan_prefixes<F: FnMut(Node, Node, f64)>(&self, mut visit: F) {
-        for i in 0..self.arena.num_walks() {
-            let end_value = self.trunc.end_value(self.arena, &self.b0, i);
-            let gain = 1.0 - end_value;
+        for j in 0..self.arena.num_walks() {
+            let gain = self.walk_gain[j];
             if gain <= 0.0 {
                 continue;
             }
-            let prefix = self.trunc.prefix(self.arena, i);
-            let start = self.walk_start[i];
+            let start = self.walk_start[j];
+            let prefix = self.trunc.prefix(&self.arena, j);
             for (pos, &w) in prefix.iter().enumerate() {
                 // First occurrence only: truncation cuts at the earliest.
                 if prefix[..pos].contains(&w) || self.trunc.is_seed(w) {
@@ -433,6 +521,9 @@ impl<'a> OpinionEstimator<'a> {
 mod tests {
     use super::*;
     use crate::generator::{Lambda, WalkGenerator};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use vom_graph::builder::graph_from_edges;
     use vom_graph::SocialGraph;
 
@@ -443,180 +534,167 @@ mod tests {
         (g, b0, d)
     }
 
+    /// A grouped (per-node) estimator over the running example.
+    fn per_node(t: usize, lambda: usize, seed: u64) -> WalkEstimator {
+        let (g, b0, d) = running_example();
+        let gen = WalkGenerator::new(&g, &d, t);
+        let arena = gen.generate_per_node(&Lambda::Uniform(lambda), seed);
+        WalkEstimator::new(Arc::new(arena), &b0)
+    }
+
+    /// A sampled estimator over the running example: `theta` starts drawn
+    /// uniformly with replacement.
+    fn sampled(t: usize, theta: usize, seed: u64) -> WalkEstimator {
+        let (g, b0, d) = running_example();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let starts: Vec<Node> = (0..theta).map(|_| rng.gen_range(0..4) as Node).collect();
+        let arena = WalkGenerator::new(&g, &d, t).generate_for_starts(&starts, seed + 1);
+        WalkEstimator::new(Arc::new(arena), &b0)
+    }
+
+    fn estimates(est: &WalkEstimator) -> Vec<f64> {
+        (0..4).map(|v| est.estimate(v).unwrap()).collect()
+    }
+
     #[test]
     fn estimates_converge_to_exact_opinions() {
-        let (g, b0, d) = running_example();
-        let t = 1;
-        let gen = WalkGenerator::new(&g, &d, t);
-        let arena = gen.generate_per_node(&Lambda::Uniform(60_000), 17);
-        let est = OpinionEstimator::new(&arena, &b0);
         // Exact t=1 opinions: 0.40, 0.80, 0.60, 0.75.
         let exact = [0.40, 0.80, 0.60, 0.75];
-        for v in 0..4 {
-            let e = est.estimate(v);
-            assert!(
-                (e - exact[v as usize]).abs() < 0.01,
-                "node {v}: {e} vs {}",
-                exact[v as usize]
-            );
+        for (est, tol) in [
+            (per_node(1, 60_000, 17), 0.01),
+            (sampled(1, 100_000, 43), 0.02),
+        ] {
+            for (v, (e, x)) in estimates(&est).iter().zip(exact).enumerate() {
+                assert!((e - x).abs() < tol, "node {v}: {e} vs {x}");
+            }
         }
     }
 
     #[test]
     fn seeded_estimates_converge_to_exact_seeded_opinions() {
-        let (g, b0, d) = running_example();
-        let gen = WalkGenerator::new(&g, &d, 1);
-        let arena = gen.generate_per_node(&Lambda::Uniform(60_000), 23);
-        let mut est = OpinionEstimator::new(&arena, &b0);
-        let touched = est.add_seed(2);
-        // Seeding node 2 influences node 3's estimate (walks 3 -> 2).
-        assert!(touched.contains(&3));
         // Exact seeded opinions (Table I row {3}): 0.40, 0.80, 1.00, 0.95.
         let exact = [0.40, 0.80, 1.00, 0.95];
-        for v in 0..4 {
-            let e = est.estimate(v);
-            assert!(
-                (e - exact[v as usize]).abs() < 0.01,
-                "node {v}: {e} vs {}",
-                exact[v as usize]
-            );
+        for (mut est, tol) in [
+            (per_node(1, 60_000, 23), 0.01),
+            (sampled(1, 200_000, 13), 0.02),
+        ] {
+            let touched = est.add_seed(2);
+            // Seeding node 2 influences node 3's estimate (walks 3 -> 2).
+            assert!(touched.contains(&3));
+            for (v, (e, x)) in estimates(&est).iter().zip(exact).enumerate() {
+                assert!((e - x).abs() < tol, "node {v}: {e} vs {x}");
+            }
+            assert_eq!(est.estimate(2), Some(1.0), "seed estimates exactly 1");
+            assert_eq!(est.seeds(), &[2]);
+            // Table I row {3}: cumulative 3.15.
+            let cum = est.estimated_cumulative();
+            assert!((cum - 3.15).abs() < 0.05, "cumulative {cum}");
         }
-        assert_eq!(est.estimate(2), 1.0, "seed estimates exactly 1");
     }
 
     #[test]
-    fn cumulative_gains_match_manual_recompute() {
+    fn sample_weights_sum_to_n() {
+        let est = sampled(2, 1000, 41);
+        let total: u32 = est.counts.iter().sum();
+        assert_eq!(total, 1000);
+        let weight: f64 = (0..4).map(|v| est.user_weight(v)).sum();
+        assert!((weight - 4.0).abs() < 1e-9, "weights sum to n");
+        assert_eq!((0..4).map(|v| est.votes(v)).sum::<u32>(), 1000);
+        assert_eq!(per_node(1, 10, 3).user_weight(0), 1.0);
+        assert_eq!(per_node(1, 10, 3).votes(0), 1);
+    }
+
+    #[test]
+    fn unsampled_users_have_no_estimate_but_unwalked_nodes_fall_back() {
         let (g, b0, d) = running_example();
-        let gen = WalkGenerator::new(&g, &d, 2);
-        let arena = gen.generate_per_node(&Lambda::Uniform(500), 31);
-        let est = OpinionEstimator::new(&arena, &b0);
-        let gains = est.cumulative_gains();
-        let base = est.estimated_cumulative();
-        for w in 0..4 {
-            let mut clone = est.clone();
-            clone.add_seed(w);
-            let realized = clone.estimated_cumulative() - base;
-            assert!(
-                (gains[w as usize] - realized).abs() < 1e-9,
-                "node {w}: predicted {} vs realized {}",
-                gains[w as usize],
-                realized
-            );
+        let gen = WalkGenerator::new(&g, &d, 1);
+        let sketch = gen.generate_for_starts(&[3, 3, 2], 5);
+        let est = WalkEstimator::new(Arc::new(sketch), &b0);
+        assert_eq!(est.estimate(0), None);
+        assert!(est.estimate(3).is_some());
+        let skip = gen.generate_per_node(&Lambda::PerNode(vec![0, 5, 5, 5]), 7);
+        let est = WalkEstimator::new(Arc::new(skip), &b0);
+        assert_eq!(est.estimate(0), Some(0.40), "λ_v = 0 falls back to b0");
+    }
+
+    #[test]
+    fn cumulative_gains_match_realized_gains() {
+        for est in [per_node(2, 500, 31), sampled(2, 5_000, 17)] {
+            let gains = est.cumulative_gains(None);
+            let base = est.estimated_cumulative();
+            for w in 0..4u32 {
+                let mut clone = est.clone();
+                clone.add_seed(w);
+                let realized = clone.estimated_cumulative() - base;
+                assert!(
+                    (gains[w as usize] - realized).abs() < 1e-9,
+                    "node {w}: predicted {} vs realized {realized}",
+                    gains[w as usize]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pair_deltas_predict_estimate_changes() {
+        for est in [per_node(3, 300, 41), sampled(2, 2_000, 31)] {
+            let deltas = est.pair_deltas();
+            for pair in deltas.windows(2) {
+                assert!(
+                    (pair[0].seed, pair[0].user) < (pair[1].seed, pair[1].user),
+                    "must be strictly sorted (deduplicated)"
+                );
+            }
+            assert!(deltas.iter().all(|d| d.delta > 0.0));
+            let mut seeded = est.clone();
+            seeded.add_seed(2);
+            let mut predicted = estimates(&est);
+            for pd in deltas.iter().filter(|d| d.seed == 2) {
+                predicted[pd.user as usize] += pd.delta;
+            }
+            for v in [0u32, 1, 3] {
+                let realized = seeded.estimate(v).unwrap();
+                assert!(
+                    (predicted[v as usize] - realized).abs() < 1e-9,
+                    "node {v}: predicted {} vs realized {realized}",
+                    predicted[v as usize]
+                );
+            }
         }
     }
 
     #[test]
     fn gains_of_existing_seeds_are_zero() {
-        let (g, b0, d) = running_example();
-        let gen = WalkGenerator::new(&g, &d, 2);
-        let arena = gen.generate_per_node(&Lambda::Uniform(200), 37);
-        let mut est = OpinionEstimator::new(&arena, &b0);
+        let mut est = per_node(2, 200, 37);
         est.add_seed(2);
-        let gains = est.cumulative_gains();
-        assert_eq!(gains[2], 0.0);
-    }
-
-    #[test]
-    fn pair_deltas_aggregate_to_cumulative_gains() {
-        let (g, b0, d) = running_example();
-        let gen = WalkGenerator::new(&g, &d, 2);
-        let arena = gen.generate_per_node(&Lambda::Uniform(300), 41);
-        let est = OpinionEstimator::new(&arena, &b0);
-        let gains = est.cumulative_gains();
-        let mut agg = [0.0f64; 4];
-        for pd in est.pair_deltas() {
-            agg[pd.seed as usize] += pd.delta;
-        }
-        for v in 0..4 {
-            assert!((agg[v] - gains[v]).abs() < 1e-9, "node {v}");
-        }
-    }
-
-    #[test]
-    fn pair_deltas_are_sorted_and_deduplicated() {
-        let (g, b0, d) = running_example();
-        let gen = WalkGenerator::new(&g, &d, 3);
-        let arena = gen.generate_per_node(&Lambda::Uniform(100), 43);
-        let est = OpinionEstimator::new(&arena, &b0);
-        let deltas = est.pair_deltas();
-        for pair in deltas.windows(2) {
-            assert!(
-                (pair[0].seed, pair[0].user) < (pair[1].seed, pair[1].user),
-                "must be strictly sorted (deduplicated)"
-            );
-        }
-        assert!(deltas.iter().all(|d| d.delta > 0.0));
-    }
-
-    #[test]
-    fn per_candidate_gain_matches_full_scan() {
-        let (g, b0, d) = running_example();
-        let gen = WalkGenerator::new(&g, &d, 2);
-        let arena = gen.generate_per_node(&Lambda::Uniform(400), 47);
-        let mut est = OpinionEstimator::new(&arena, &b0);
-        let mask = [true, false, true, true];
-        for step in 0..2 {
-            let gains = est.cumulative_gains();
-            let masked = est.cumulative_gains_masked(&mask);
-            for w in 0..4u32 {
-                if est.is_seed(w) {
-                    continue;
-                }
-                assert_eq!(
-                    est.cumulative_gain_of(w).to_bits(),
-                    gains[w as usize].to_bits(),
-                    "step {step} node {w}"
-                );
-                assert_eq!(
-                    est.cumulative_gain_of_masked(w, &mask).to_bits(),
-                    masked[w as usize].to_bits(),
-                    "step {step} node {w} (masked)"
-                );
-            }
-            est.add_seed(2);
-        }
-        assert_eq!(est.cumulative_gain_of(2), 0.0, "seeds gain nothing");
-    }
-
-    #[test]
-    fn per_candidate_deltas_match_pair_deltas() {
-        let (g, b0, d) = running_example();
-        let gen = WalkGenerator::new(&g, &d, 3);
-        let arena = gen.generate_per_node(&Lambda::Uniform(300), 53);
-        let mut est = OpinionEstimator::new(&arena, &b0);
-        est.add_seed(1);
-        let all = est.pair_deltas();
-        let mut scratch = DeltaScratch::default();
-        for w in 0..4u32 {
-            if est.is_seed(w) {
-                continue;
-            }
-            let mut got: Vec<(Node, f64)> = Vec::new();
-            est.for_candidate_deltas(w, &mut scratch, |user, delta| got.push((user, delta)));
-            let want: Vec<(Node, f64)> = all
-                .iter()
-                .filter(|d| d.seed == w)
-                .map(|d| (d.user, d.delta))
-                .collect();
-            assert_eq!(got.len(), want.len(), "node {w}");
-            for (g, w_) in got.iter().zip(&want) {
-                assert_eq!(g.0, w_.0);
-                assert!((g.1 - w_.1).abs() < 1e-12, "{} vs {}", g.1, w_.1);
-            }
-            assert!(got.windows(2).all(|p| p[0].0 < p[1].0), "ascending users");
-        }
+        assert_eq!(est.cumulative_gains(None)[2], 0.0);
+        assert_eq!(est.cumulative_gain_of(2, None), 0.0);
     }
 
     #[test]
     fn add_seed_into_reuses_the_buffer() {
-        let (g, b0, d) = running_example();
-        let gen = WalkGenerator::new(&g, &d, 1);
-        let arena = gen.generate_per_node(&Lambda::Uniform(500), 59);
-        let mut est = OpinionEstimator::new(&arena, &b0);
+        let mut est = per_node(1, 500, 59);
         let mut buf = vec![99; 8]; // stale content must be cleared
         est.add_seed_into(2, &mut buf);
-        let mut est2 = OpinionEstimator::new(&arena, &b0);
-        assert_eq!(buf, est2.add_seed(2));
+        let mut fresh = per_node(1, 500, 59);
+        assert_eq!(buf, fresh.add_seed(2));
+    }
+
+    #[test]
+    fn reset_restores_the_seedless_state() {
+        for est in [per_node(2, 300, 7), sampled(2, 3_000, 19)] {
+            let (sums, counts) = pooled_end_values(&est.arena, &est.trunc, &est.b0);
+            assert_eq!(counts, est.counts);
+            assert_eq!(sums, est.sums);
+            let mut working = est.clone();
+            working.add_seed(1);
+            working.reset(&est.arena, &est.trunc, &est.b0);
+            assert!(working.seeds().is_empty());
+            assert_eq!(working.walk_gain, est.walk_gain);
+            assert_eq!(working.walk_start, est.walk_start);
+            assert_eq!(working.sums, est.sums);
+            assert_eq!(working.counts, est.counts);
+        }
     }
 
     #[test]
@@ -629,9 +707,9 @@ mod tests {
         let lambda = Lambda::Uniform(40_000);
 
         let arena_trunc = gen.generate_per_node(&lambda, 51);
-        let mut est = OpinionEstimator::new(&arena_trunc, &b0);
+        let mut est = WalkEstimator::new(Arc::new(arena_trunc), &b0);
         est.add_seed(2);
-        let trunc_estimate = est.estimate(3);
+        let trunc_estimate = est.estimate(3).unwrap();
 
         let arena_direct = gen.generate_direct(&lambda, &seeds, 53);
         // Direct walks already stop at seeds; value of end node e is 1 if
@@ -653,5 +731,91 @@ mod tests {
             (trunc_estimate - direct_estimate).abs() < 0.01,
             "{trunc_estimate} vs {direct_estimate}"
         );
+    }
+
+    /// Every incremental answer against its full-scan definition, bit for
+    /// bit, after each seed of the sequence.
+    fn check_incremental_state(est: &WalkEstimator, mask: &[bool]) {
+        for j in 0..est.arena.num_walks() {
+            let end = est.trunc.end_value(&est.arena, &est.b0, j);
+            assert_eq!(
+                est.walk_gain[j].to_bits(),
+                (1.0 - end).to_bits(),
+                "walk {}",
+                j
+            );
+        }
+        let gains = est.cumulative_gains(None);
+        let masked = est.cumulative_gains(Some(mask));
+        let pairs = est.pair_deltas();
+        let mut scratch = DeltaScratch::default();
+        for w in 0..est.num_nodes() as Node {
+            if est.is_seed(w) {
+                continue;
+            }
+            let cum = est.cumulative_gain_of(w, None);
+            assert_eq!(cum.to_bits(), gains[w as usize].to_bits(), "node {}", w);
+            assert_eq!(
+                est.cumulative_gain_of(w, Some(mask)).to_bits(),
+                masked[w as usize].to_bits(),
+                "node {} (masked)",
+                w
+            );
+            let mut got: Vec<(Node, u64)> = Vec::new();
+            let got_cum = est.for_candidate_deltas_cum(w, &mut scratch, |user, delta| {
+                got.push((user, delta.to_bits()))
+            });
+            let want: Vec<(Node, u64)> = pairs
+                .iter()
+                .filter(|d| d.seed == w)
+                .map(|d| (d.user, d.delta.to_bits()))
+                .collect();
+            assert_eq!(got, want, "node {} deltas", w);
+            assert_eq!(got_cum.to_bits(), cum.to_bits(), "node {} cumulative", w);
+        }
+    }
+
+    /// A random small instance: graph, opinions, stubbornness.
+    fn arb_instance() -> impl Strategy<Value = (SocialGraph, Vec<f64>, Vec<f64>)> {
+        (3usize..12).prop_flat_map(|n| {
+            let edges =
+                proptest::collection::vec((0..n as Node, 0..n as Node, 0.1f64..5.0), 1..(3 * n));
+            let b0 = proptest::collection::vec(0.0f64..=1.0, n);
+            let d = proptest::collection::vec(0.0f64..=1.0, n);
+            (edges, b0, d).prop_map(move |(edges, b0, d)| {
+                (graph_from_edges(n, &edges).expect("valid edges"), b0, d)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn incremental_scans_match_full_scans_on_both_layouts(
+            (g, b0, d) in arb_instance(),
+            t in 0usize..6,
+            lambda in 1usize..6,
+            seeds in proptest::collection::vec(0u32..64, 1..6),
+            mask_bits in 0u64..4096,
+            rng_seed in 0u64..1000,
+        ) {
+            let n = g.num_nodes();
+            let gen = WalkGenerator::new(&g, &d, t);
+            let mut rng = SmallRng::seed_from_u64(rng_seed);
+            let starts: Vec<Node> =
+                (0..n * lambda).map(|_| rng.gen_range(0..n) as Node).collect();
+            let grouped = gen.generate_per_node(&Lambda::Uniform(lambda), rng_seed);
+            let sampled = gen.generate_for_starts(&starts, rng_seed);
+            let mask: Vec<bool> = (0..n).map(|v| mask_bits >> (v % 12) & 1 == 1).collect();
+            for arena in [grouped, sampled] {
+                let mut est = WalkEstimator::new(Arc::new(arena), &b0);
+                check_incremental_state(&est, &mask);
+                for &s in &seeds {
+                    est.add_seed(s % n as Node);
+                    check_incremental_state(&est, &mask);
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Walk-count bounds (Theorems 10–12) and the `γ*` heuristic (Eq. 33).
 
-use crate::estimator::OpinionEstimator;
+use crate::estimator::WalkEstimator;
 use crate::generator::{Lambda, WalkGenerator};
+use std::sync::Arc;
 use vom_graph::{Node, SocialGraph};
 
 /// Theorem 10: walks per node so that every opinion estimate is within
@@ -66,6 +67,12 @@ impl Default for GammaConfig {
 /// estimates the most, i.e. maximal estimated cumulative gain), track the
 /// minimum γ̂_v observed at any prefix of it, and clamp at `floor`.
 ///
+/// The pilot greedy picks its argmax with `Iterator::max_by`, so equal
+/// gains go to the **largest** node id — unlike the selection greedies of
+/// `vom-core`, which break ties toward the smallest. The quirk is kept:
+/// γ* sets RW's walk counts, and the pinned selection digests depend on
+/// them.
+///
 /// `non_target_rows` are the *exact* horizon-`t` opinions of every other
 /// candidate (they do not depend on the target's seeds).
 pub fn estimate_gamma_star(
@@ -79,18 +86,22 @@ pub fn estimate_gamma_star(
     let n = graph.num_nodes();
     let gen = WalkGenerator::new(graph, stubbornness, t);
     let arena = gen.generate_per_node(&Lambda::Uniform(cfg.alpha.max(1)), cfg.seed);
-    let mut est = OpinionEstimator::new(&arena, b0_target);
+    let mut est = WalkEstimator::new(Arc::new(arena), b0_target);
 
-    let gap = |v: Node, estimate: f64| -> f64 {
+    // γ̂_v[S] on the current estimates.
+    let gap = |est: &WalkEstimator, v: Node| -> f64 {
+        let estimate = est
+            .estimate(v)
+            .expect("per-node arenas estimate every user");
         non_target_rows
             .iter()
             .map(|row| (row[v as usize] - estimate).abs())
             .fold(f64::INFINITY, f64::min)
     };
 
-    let mut gamma: Vec<f64> = (0..n as Node).map(|v| gap(v, est.estimate(v))).collect();
+    let mut gamma: Vec<f64> = (0..n as Node).map(|v| gap(&est, v)).collect();
     for _ in 0..cfg.k {
-        let gains = est.cumulative_gains();
+        let gains = est.cumulative_gains(None);
         let Some((best, best_gain)) = gains
             .iter()
             .copied()
@@ -107,7 +118,7 @@ pub fn estimate_gamma_star(
         }
         let touched = est.add_seed(best as Node);
         for v in touched {
-            let g = gap(v, est.estimate(v));
+            let g = gap(&est, v);
             if g < gamma[v as usize] {
                 gamma[v as usize] = g;
             }

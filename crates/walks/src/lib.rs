@@ -23,8 +23,10 @@
 //!   baseline for truncation);
 //! * [`Truncation`] — incremental first-seed-occurrence truncation with a
 //!   per-(walk, node) first-occurrence index;
-//! * [`OpinionEstimator`] — per-start-node opinion estimates plus the
-//!   marginal-gain scans the greedy selectors consume;
+//! * [`WalkEstimator`] — the one truncated-walk estimator: pooled
+//!   per-start opinion estimates plus the marginal-gain scans the greedy
+//!   selectors consume, over per-node RW arenas and sampled RS sketches
+//!   alike;
 //! * [`lambda`] — the walk-count bounds of Theorems 10–12 and the `γ*`
 //!   heuristic of Eq. 33.
 //!
@@ -36,19 +38,20 @@
 //!
 //! ```
 //! use vom_graph::builder::graph_from_edges;
-//! use vom_walks::{Lambda, OpinionEstimator, WalkGenerator};
+//! use std::sync::Arc;
+//! use vom_walks::{Lambda, WalkEstimator, WalkGenerator};
 //!
 //! let g = graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])?;
 //! let d = [0.0, 0.0, 0.5, 0.5];
 //! let gen = WalkGenerator::new(&g, &d, 1);
 //! let arena = gen.generate_per_node(&Lambda::Uniform(20_000), 7);
 //!
-//! let mut est = OpinionEstimator::new(&arena, &[0.40, 0.80, 0.60, 0.90]);
-//! assert!((est.estimate(3) - 0.75).abs() < 0.02); // exact: 0.75
+//! let mut est = WalkEstimator::new(Arc::new(arena), &[0.40, 0.80, 0.60, 0.90]);
+//! assert!((est.estimate(3).unwrap() - 0.75).abs() < 0.02); // exact: 0.75
 //!
 //! est.add_seed(0); // truncation, not regeneration
-//! assert_eq!(est.estimate(0), 1.0);
-//! assert!((est.estimate(2) - 0.75).abs() < 0.02); // exact b_3[{1}] = 0.75
+//! assert_eq!(est.estimate(0), Some(1.0));
+//! assert!((est.estimate(2).unwrap() - 0.75).abs() < 0.02); // exact b_3[{1}] = 0.75
 //! # Ok::<(), vom_graph::GraphError>(())
 //! ```
 
@@ -59,7 +62,7 @@ pub mod lambda;
 pub mod truncation;
 
 pub use arena::{WalkArena, WalkArenaBuilder};
-pub use estimator::{DeltaScratch, OpinionEstimator};
+pub use estimator::{pooled_end_values, DeltaScratch, PairDelta, WalkEstimator};
 pub use generator::{Lambda, WalkGenerator};
 pub use truncation::Truncation;
 

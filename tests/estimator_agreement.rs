@@ -70,7 +70,7 @@ fn estimated_cumulative_tracks_exact_score() {
         3,
     );
     let exact: f64 = ds.instance.opinions_of(0, t, &[]).iter().sum();
-    let est = sketch.estimated_cumulative();
+    let est = sketch.estimator().estimated_cumulative();
     let rel = (est - exact).abs() / exact;
     assert!(rel < 0.02, "estimate {est} vs exact {exact} ({rel:.3} rel)");
 }

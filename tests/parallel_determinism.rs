@@ -93,30 +93,32 @@ fn sketch_sets_are_bit_identical_across_thread_counts() {
     let build =
         || SketchSet::generate(&cand.graph, &cand.stubbornness, &cand.initial, 8, 4_000, 19);
     let reference = with_threads(1, build);
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (ref_arena, ref_trunc, _, ref_sums, ref_counts) = reference.parts();
     for threads in THREADS {
-        let mut rebuilt = with_threads(threads, build);
-        assert_eq!(rebuilt.theta(), reference.theta());
-        for j in 0..reference.theta() {
-            assert_eq!(rebuilt.walk_start(j), reference.walk_start(j), "sketch {j}");
-            assert_eq!(
-                rebuilt.walk_value(j).to_bits(),
-                reference.walk_value(j).to_bits(),
-                "sketch {j} end value at {threads} threads"
-            );
-        }
-        for v in 0..reference.num_nodes() as Node {
-            assert_eq!(
-                rebuilt.pooled_estimate(v).map(f64::to_bits),
-                reference.pooled_estimate(v).map(f64::to_bits),
-                "pooled estimate of {v} at {threads} threads"
-            );
-        }
-        // Incremental truncation stays deterministic too.
-        let mut ref_clone = reference.clone();
-        assert_eq!(rebuilt.add_seed(3), ref_clone.add_seed(3));
+        let rebuilt = with_threads(threads, build);
+        let (arena, trunc, _, sums, counts) = rebuilt.parts();
+        assert_eq!(arena, ref_arena, "sketch walks at {threads} threads");
+        assert_eq!(trunc.parts(), ref_trunc.parts());
+        assert_eq!(counts, ref_counts);
         assert_eq!(
-            rebuilt.estimated_cumulative().to_bits(),
-            ref_clone.estimated_cumulative().to_bits(),
+            bits(sums),
+            bits(ref_sums),
+            "pooled end values at {threads} threads"
+        );
+        // Incremental truncation stays deterministic too.
+        let (mut est, mut ref_est) = (rebuilt.estimator(), reference.estimator());
+        assert_eq!(est.add_seed(3), ref_est.add_seed(3));
+        for v in 0..est.num_nodes() as Node {
+            assert_eq!(
+                est.estimate(v).map(f64::to_bits),
+                ref_est.estimate(v).map(f64::to_bits),
+                "seeded pooled estimate of {v} at {threads} threads"
+            );
+        }
+        assert_eq!(
+            est.estimated_cumulative().to_bits(),
+            ref_est.estimated_cumulative().to_bits(),
             "seeded cumulative estimate at {threads} threads"
         );
     }

@@ -150,15 +150,15 @@ proptest! {
         (g, b0, d) in arb_instance(),
         t in 0usize..5,
     ) {
-        use vom::walks::{Lambda, OpinionEstimator, WalkGenerator};
+        use vom::walks::{Lambda, WalkEstimator, WalkGenerator};
         let mut solver = exact_solver(&g, &b0, &d);
         let exact = opinions_at(&mut solver, t, &[0]);
         let gen = WalkGenerator::new(&g, &d, t);
         let arena = gen.generate_per_node(&Lambda::Uniform(4000), 11);
-        let mut est = OpinionEstimator::new(&arena, &b0);
+        let mut est = WalkEstimator::new(Arc::new(arena), &b0);
         est.add_seed(0);
         for v in 0..g.num_nodes() as Node {
-            let e = est.estimate(v);
+            let e = est.estimate(v).expect("per-node arenas estimate every user");
             prop_assert!(
                 (e - exact[v as usize]).abs() < 0.06,
                 "node {v}: estimate {e} vs exact {}",
